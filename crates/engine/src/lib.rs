@@ -69,7 +69,7 @@ pub mod streaming;
 
 pub use checkpoint::{EngineCheckpoint, PoolSlot, RuntimeCheckpoint};
 pub use error::EngineError;
-pub use opportunity::ArbitrageOpportunity;
+pub use opportunity::{ArbitrageOpportunity, EvaluatedOpportunity};
 pub use pipeline::{
     OpportunityPipeline, PipelineConfig, PipelineReport, PipelineStats, SharedStrategy,
     SnapshotPrices,

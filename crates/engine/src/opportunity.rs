@@ -1,4 +1,16 @@
 //! The uniform arbitrage-opportunity type produced by the pipeline.
+//!
+//! An [`ArbitrageOpportunity`] is a shared immutable handle: the
+//! evaluated body ([`EvaluatedOpportunity`]) is built once, behind an
+//! `Arc`, where the pipeline evaluates a cycle, and never mutated after.
+//! Field reads go through `Deref` (`opp.cycle`, `opp.net_profit`), and
+//! `Clone` is a refcount bump — so the engine's rank cache, the runtime's
+//! merged ranking, published snapshots and ranking deltas all share one
+//! allocation per evaluation instead of deep-copying its vectors.
+
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use arb_core::loop_def::ArbLoop;
 use arb_core::monetize::Usd;
@@ -9,9 +21,14 @@ use arb_graph::Cycle;
 ///
 /// This is the single currency flowing between discovery, ranking, and
 /// execution: the bot builds flash bundles from it, examples print it,
-/// and benches count them.
-#[derive(Debug, Clone)]
-pub struct ArbitrageOpportunity {
+/// and benches count them. It dereferences to its
+/// [`EvaluatedOpportunity`] body; clones share that body.
+#[derive(Clone)]
+pub struct ArbitrageOpportunity(Arc<EvaluatedOpportunity>);
+
+/// The evaluated body behind an [`ArbitrageOpportunity`] handle.
+#[derive(Debug)]
+pub struct EvaluatedOpportunity {
     /// The discovered cycle (token + pool ids in trade order).
     pub cycle: Cycle,
     /// The analysis view of the same loop (curves + token labels).
@@ -33,6 +50,35 @@ pub struct ArbitrageOpportunity {
 }
 
 impl ArbitrageOpportunity {
+    /// Freezes an evaluated body into a shareable handle.
+    #[must_use]
+    pub fn new(body: EvaluatedOpportunity) -> Self {
+        Self(Arc::new(body))
+    }
+
+    /// Whether two handles share one evaluation (a clone of the same
+    /// handle), as opposed to two evaluations that may merely be equal.
+    #[must_use]
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for ArbitrageOpportunity {
+    type Target = EvaluatedOpportunity;
+
+    fn deref(&self) -> &EvaluatedOpportunity {
+        &self.0
+    }
+}
+
+impl fmt::Debug for ArbitrageOpportunity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl EvaluatedOpportunity {
     /// Number of hops in the loop.
     pub fn hops(&self) -> usize {
         self.cycle.len()
@@ -77,7 +123,7 @@ mod tests {
             SwapCurve::new(300.0, 200.0, fee).unwrap(),
             SwapCurve::new(200.0, 400.0, fee).unwrap(),
         ];
-        ArbitrageOpportunity {
+        ArbitrageOpportunity::new(EvaluatedOpportunity {
             cycle: Cycle::new(tokens.clone(), pools).unwrap(),
             loop_: ArbLoop::new(hops, tokens).unwrap(),
             prices: vec![2.0, 10.2, 20.0],
@@ -86,7 +132,7 @@ mod tests {
             token_profits: vec![0.0, 0.0, 10.0],
             gross_profit: Usd::new(200.0),
             net_profit: Usd::new(195.0),
-        }
+        })
     }
 
     #[test]
@@ -105,5 +151,16 @@ mod tests {
         let expected = 0.997f64.powi(3) * 8.0 / 3.0;
         assert!((opp.round_trip_rate() - expected).abs() < 1e-12);
         assert_eq!(opp.hops(), 3);
+    }
+
+    #[test]
+    fn clones_share_one_body() {
+        let opp = opportunity(vec![27.0, 0.0, 0.0]);
+        let copy = opp.clone();
+        assert!(ArbitrageOpportunity::ptr_eq(&opp, &copy));
+        assert!(!ArbitrageOpportunity::ptr_eq(
+            &opp,
+            &opportunity(vec![27.0, 0.0, 0.0])
+        ));
     }
 }

@@ -14,7 +14,7 @@ use rayon::prelude::*;
 
 use crate::bounds::{floor_verdict, FloorVerdict};
 use crate::error::EngineError;
-use crate::opportunity::ArbitrageOpportunity;
+use crate::opportunity::{ArbitrageOpportunity, EvaluatedOpportunity};
 use crate::ranking::{RankByNetProfit, RankingPolicy};
 
 /// A strategy the pipeline can fan out across threads.
@@ -568,7 +568,7 @@ impl OpportunityPipeline {
             }
             let gross = outcome.monetized;
             let net = Usd::new(gross.value() - self.config.execution_cost_usd);
-            Some(ArbitrageOpportunity {
+            Some(ArbitrageOpportunity::new(EvaluatedOpportunity {
                 cycle: cycle.clone(),
                 loop_: loop_.clone(),
                 prices: prices.to_vec(),
@@ -577,7 +577,7 @@ impl OpportunityPipeline {
                 token_profits: outcome.token_profits,
                 gross_profit: gross,
                 net_profit: net,
-            })
+            }))
         });
         Ok((opportunity, attempts, benign_failures))
     }

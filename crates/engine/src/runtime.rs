@@ -389,7 +389,7 @@ struct Shard {
 }
 
 impl Shard {
-    /// Re-clones the cached ranking if the engine's standing set moved.
+    /// Re-reads the cached ranking if the engine's standing set moved.
     /// Returns whether the cache was still valid.
     fn refresh_cache(&mut self) -> bool {
         let revision = self.engine.standing_revision();

@@ -745,12 +745,12 @@ impl StreamingEngine {
 
     /// The standing opportunity set in execution-priority order (the
     /// pipeline's ranking policy, tie-breaks, and `top_k` cut). Sorts
-    /// references and deep-clones only the survivors of the `top_k`
-    /// cut, memoized per [`StreamingEngine::standing_revision`]: repeat
-    /// calls at an unchanged revision skip the sort and re-clone the
-    /// cached list — with hundreds of standing opportunities and a small
-    /// `top_k`, the old clone-everything-then-sort path dominated quiet
-    /// ticks.
+    /// references and keeps only the survivors of the `top_k` cut,
+    /// memoized per [`StreamingEngine::standing_revision`]: repeat calls
+    /// at an unchanged revision skip the sort and return the cached
+    /// list. Entries are shared handles, so both the cache and the
+    /// returned `Vec` hold refcount bumps of the standing set, not
+    /// copies.
     pub fn ranked(&self) -> Vec<ArbitrageOpportunity> {
         let _rank_span = self.obs.as_ref().map(|o| o.rank.start());
         let mut cache = self.rank_cache.lock().expect("rank cache lock");

@@ -74,15 +74,20 @@ impl std::error::Error for ApplyError {}
 
 /// True when two evaluations of the same cycle are bitwise identical —
 /// the condition under which an entry may ride along implicitly instead
-/// of being re-shipped as an upsert.
+/// of being re-shipped as an upsert. Two handles on one shared
+/// evaluation are identical without looking; otherwise the f64 bit
+/// patterns are compared in place.
 fn same_eval(a: &ArbitrageOpportunity, b: &ArbitrageOpportunity) -> bool {
-    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    a.strategy == b.strategy
-        && a.gross_profit.value().to_bits() == b.gross_profit.value().to_bits()
-        && a.net_profit.value().to_bits() == b.net_profit.value().to_bits()
-        && bits(&a.prices) == bits(&b.prices)
-        && bits(&a.optimal_inputs) == bits(&b.optimal_inputs)
-        && bits(&a.token_profits) == bits(&b.token_profits)
+    fn same_bits(xs: &[f64], ys: &[f64]) -> bool {
+        xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+    ArbitrageOpportunity::ptr_eq(a, b)
+        || (a.strategy == b.strategy
+            && a.gross_profit.value().to_bits() == b.gross_profit.value().to_bits()
+            && a.net_profit.value().to_bits() == b.net_profit.value().to_bits()
+            && same_bits(&a.prices, &b.prices)
+            && same_bits(&a.optimal_inputs, &b.optimal_inputs)
+            && same_bits(&a.token_profits, &b.token_profits))
 }
 
 /// Computes the delta turning `base` into `next`.

@@ -10,13 +10,21 @@
 //! `chaos.*` / `health.*` metrics plus a flight-recorder dump behind.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use arbloops::chaos::harness::FLIGHT_DUMP;
 use arbloops::prelude::*;
 use arbloops::workloads;
 
+/// A fresh journal directory per call: tests running the same workload
+/// concurrently in one process must not share (and delete) each other's.
 fn soak_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("arbloops-chaos-{tag}-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "arbloops-chaos-{tag}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -202,3 +202,96 @@ fn restore_publishes_a_noop_delta_when_ranking_is_stable() {
     assert_eq!(fingerprint(&view), fingerprint(final_snapshot.entries()));
     assert!(moved, "the tick stream never produced a real delta");
 }
+
+/// Opportunities are shared immutable handles, so they may cross the
+/// serve layer's reader threads.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<ArbitrageOpportunity>();
+};
+
+/// A tick whose events touch one shard leaves every other shard's
+/// ranked entries shared, not copied: the merged ranking carries the
+/// very same handles as the previous tick's, and the published delta
+/// re-ships none of them.
+#[test]
+fn untouched_shards_share_their_entries_across_a_tick() {
+    let spec = arbloops::workloads::find("steady-sparse").expect("in catalog");
+    let scenario = spec.scenario(&config(9_191)).expect("scenario");
+    let feed = scenario.feed.clone();
+    let runtime = ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 4)
+        .expect("runtime");
+    let mut serve = ServeRuntime::new(runtime, GovernorConfig::default());
+    let before = serve.refresh(&feed).expect("cold start").opportunities;
+    // Rebalancing is off, so this assignment holds for the whole test.
+    let partition = serve.runtime().partition().clone();
+    let shard_of = |opp: &ArbitrageOpportunity| {
+        partition
+            .shard_of_pool(opp.cycle.pools()[0])
+            .expect("ranked pools are owned")
+    };
+    let touched = shard_of(before.first().expect("a ranked opportunity"));
+
+    // Reserve updates from the scenario, kept only for the touched
+    // shard's pools; the feed stays put, so no other shard is dirtied.
+    let events: Vec<Event> = scenario
+        .ticks
+        .iter()
+        .flat_map(|batch| &batch.events)
+        .filter(|event| {
+            matches!(event, Event::Sync { pool, .. }
+                if partition.shard_of_pool(*pool) == Some(touched))
+        })
+        .cloned()
+        .collect();
+    assert!(
+        !events.is_empty(),
+        "the touched shard saw no reserve updates"
+    );
+
+    let handle = serve.handle(arbloops::serve::ClientClass::Bulk);
+    let base = handle.load();
+    let after = serve
+        .apply_events(&events, &feed)
+        .expect("tick")
+        .opportunities;
+    let next = handle.load();
+    assert!(
+        next.revision() > base.revision(),
+        "the touched shard's ranking never moved"
+    );
+
+    let untouched: Vec<&ArbitrageOpportunity> = after
+        .iter()
+        .filter(|opp| shard_of(opp) != touched)
+        .collect();
+    assert!(!untouched.is_empty(), "no untouched shard ranks anything");
+    for opp in &untouched {
+        let prev = before
+            .iter()
+            .find(|prev| prev.cycle == opp.cycle)
+            .expect("an untouched shard's ranking does not change");
+        assert!(
+            ArbitrageOpportunity::ptr_eq(prev, opp),
+            "an untouched shard's entry was copied instead of shared"
+        );
+    }
+
+    let delta = arbloops::serve::diff(
+        base.revision(),
+        base.entries(),
+        next.revision(),
+        next.entries(),
+    );
+    assert!(
+        delta
+            .upserts
+            .iter()
+            .all(|(_, opp)| shard_of(opp) == touched),
+        "the delta re-ships an untouched shard's entry"
+    );
+    assert_eq!(
+        fingerprint(&apply(base.entries(), &delta).expect("delta applies")),
+        fingerprint(next.entries())
+    );
+}

@@ -156,10 +156,11 @@ pub fn polish_multipliers(problem: &LoopProblem, solution: &BarrierSolution) -> 
         // constraints in n variables are necessarily dependent).
         let reg = 1e-12 * (1.0 + trace / k as f64);
         ata.add_diagonal(reg);
-        let Ok(lambda) = ata.cholesky_solve(&rhs) else {
+        let mut lambda = rhs;
+        if ata.cholesky_solve(&mut lambda).is_err() {
             // Degenerate geometry: keep the barrier multipliers.
             return solution.multipliers.clone();
-        };
+        }
         let negatives: Vec<usize> = (0..k).filter(|&a| lambda[a] < 0.0).collect();
         if negatives.is_empty() {
             polished = vec![0.0; m];

@@ -747,12 +747,15 @@ impl ShardedRuntime {
     }
 
     /// Drains every shard's queue through its engine and brings every
-    /// standing set current. Three phases: apply events (parallel on the
-    /// worker pool — the rayon shim degrades to the serial path on its
-    /// own when it has one worker or one shard), retire the slots
-    /// non-owners only mirror for id alignment, then re-evaluate. The
-    /// retires run *between* application and evaluation so no shard ever
-    /// evaluates cycles through a mirrored slot it is about to discard.
+    /// standing set current. Three phases: apply events (the shards fan
+    /// out over the process-wide persistent thread pool — the rayon shim
+    /// runs serially on the caller when it has one thread or one shard),
+    /// retire the slots non-owners only mirror for id alignment, then
+    /// re-evaluate, fanned out the same way. A shard's own evaluation
+    /// fan-out queues on the same pool, so a thread whose shards finished
+    /// early helps the busy one. The retires run *between* application
+    /// and evaluation so no shard ever evaluates cycles through a
+    /// mirrored slot it is about to discard.
     fn flush<F: PriceFeed + Sync>(&mut self, feed: &F) -> Result<(), EngineError> {
         if let Some(hook) = &self.tick_hook {
             // Serial and on the caller's thread: a panicking hook

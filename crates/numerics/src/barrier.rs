@@ -137,11 +137,15 @@ pub fn solve_barrier<P: BarrierProblem>(
     let mut mu = config.mu_initial;
     let mut newton_total = 0usize;
 
-    // Scratch buffers reused across iterations.
+    // Scratch buffers reused across iterations: nothing below allocates
+    // until the solution is assembled.
     let mut grad = vec![0.0; n];
     let mut cgrad = vec![0.0; n];
     let mut hess = Matrix::zeros(n, n);
     let mut chess = Matrix::zeros(n, n);
+    let mut trial = Matrix::zeros(n, n);
+    let mut delta = vec![0.0; n];
+    let mut xt = vec![0.0; n];
 
     for _outer in 0..config.max_outer_iter {
         // ---- Centering: damped Newton on Φ_μ ----
@@ -179,27 +183,28 @@ pub fn solve_barrier<P: BarrierProblem>(
                 return Err(NumericsError::NonFiniteValue);
             }
 
-            // Solve (−∇²Φ + εI)·δ = ∇Φ with escalating regularization.
-            let mut neg_h = Matrix::zeros(n, n);
-            for a in 0..n {
-                for b in 0..n {
-                    neg_h[(a, b)] = -hess[(a, b)];
-                }
-            }
+            // Solve (−∇²Φ + εI)·δ = ∇Φ with escalating regularization. A
+            // failed factorization leaves `trial` and `delta` partial, so
+            // every attempt refills both.
             let mut eps = 0.0;
-            let delta = loop {
-                let mut trial = neg_h.clone();
+            loop {
+                for a in 0..n {
+                    for b in 0..n {
+                        trial[(a, b)] = -hess[(a, b)];
+                    }
+                }
                 if eps > 0.0 {
                     trial.add_diagonal(eps);
                 }
-                match trial.cholesky_solve(&grad) {
-                    Ok(d) => break d,
+                delta.copy_from_slice(&grad);
+                match trial.cholesky_solve(&mut delta) {
+                    Ok(()) => break,
                     Err(_) if eps < 1e12 => {
                         eps = if eps == 0.0 { 1e-10 } else { eps * 100.0 };
                     }
                     Err(_) => return Err(NumericsError::SingularMatrix),
                 }
-            };
+            }
 
             // Newton decrement.
             let decrement = linalg::dot(&grad, &delta);
@@ -219,11 +224,11 @@ pub fn solve_barrier<P: BarrierProblem>(
             let mut t = 1.0;
             let mut accepted = false;
             for _bt in 0..60 {
-                let mut xt = x.clone();
+                xt.copy_from_slice(&x);
                 linalg::axpy(t, &delta, &mut xt);
                 if let Some(phi_t) = try_eval_barrier(problem, &xt, mu, m) {
                     if phi_t >= phi + 0.01 * t * decrement - slack {
-                        x = xt;
+                        std::mem::swap(&mut x, &mut xt);
                         accepted = true;
                         break;
                     }

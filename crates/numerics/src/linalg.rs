@@ -116,23 +116,25 @@ impl Matrix {
         }
     }
 
-    /// Solves `A·x = b` for symmetric positive definite `A` via Cholesky.
-    ///
-    /// `A` is not modified. Fails (rather than producing garbage) when `A`
-    /// is not positive definite.
+    /// Solves `A·x = b` for symmetric positive definite `A` via Cholesky,
+    /// in place: `self` is overwritten with its factor `L` (lower
+    /// triangle) and `x` holds `b` on entry and the solution on success.
+    /// Nothing is allocated, so a solver loop can reuse both buffers.
+    /// Fails (rather than producing garbage) when `A` is not positive
+    /// definite; `self` and `x` then hold partial results.
     ///
     /// # Errors
     ///
     /// * [`NumericsError::DimensionMismatch`] for non-square `A` or wrong
-    ///   `b` length.
+    ///   `x` length.
     /// * [`NumericsError::SingularMatrix`] when a pivot is not positive.
-    pub fn cholesky_solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
+    pub fn cholesky_solve(&mut self, x: &mut [f64]) -> Result<(), NumericsError> {
         let n = self.rows;
-        if self.cols != n || b.len() != n {
+        if self.cols != n || x.len() != n {
             return Err(NumericsError::DimensionMismatch);
         }
-        // Factor A = L·Lᵀ, storing L in a scratch copy.
-        let mut l = self.data.clone();
+        // Factor A = L·Lᵀ in place.
+        let l = &mut self.data;
         for j in 0..n {
             let mut diag = l[j * n + j];
             for k in 0..j {
@@ -154,21 +156,20 @@ impl Matrix {
             }
         }
         // Forward substitution L·y = b.
-        let mut y = b.to_vec();
         for i in 0..n {
             for k in 0..i {
-                y[i] -= l[i * n + k] * y[k];
+                x[i] -= l[i * n + k] * x[k];
             }
-            y[i] /= l[i * n + i];
+            x[i] /= l[i * n + i];
         }
         // Back substitution Lᵀ·x = y.
         for i in (0..n).rev() {
             for k in (i + 1)..n {
-                y[i] -= l[k * n + i] * y[k];
+                x[i] -= l[k * n + i] * x[k];
             }
-            y[i] /= l[i * n + i];
+            x[i] /= l[i * n + i];
         }
-        Ok(y)
+        Ok(())
     }
 
     /// Solves `A·x = b` via LU with partial pivoting (general square `A`).
@@ -267,18 +268,36 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Solves `a·x = b` by Cholesky on copies of `a` and `b`.
+    fn cholesky(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
+        let mut x = b.to_vec();
+        a.clone().cholesky_solve(&mut x)?;
+        Ok(x)
+    }
+
     #[test]
     fn identity_solves_trivially() {
-        let a = Matrix::identity(3);
-        let x = a.cholesky_solve(&[1.0, 2.0, 3.0]).unwrap();
+        let x = cholesky(&Matrix::identity(3), &[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn cholesky_factors_in_place() {
+        let mut a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
+        let mut x = [10.0, 9.0];
+        a.cholesky_solve(&mut x).unwrap();
+        // L = [[2, ·], [1, √2]] in the lower triangle.
+        assert_eq!(a[(0, 0)], 2.0);
+        assert_eq!(a[(1, 0)], 1.0);
+        assert!((a[(1, 1)] - 2f64.sqrt()).abs() < 1e-15);
+        assert!((x[0] - 1.5).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn cholesky_solves_spd_system() {
         // A = [[4,2],[2,3]], b = [10, 9] → x = [1.5, 2.0]? Check: 4·1.5+2·2=10 ✓, 2·1.5+3·2=9 ✓.
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let x = a.cholesky_solve(&[10.0, 9.0]).unwrap();
+        let x = cholesky(&a, &[10.0, 9.0]).unwrap();
         assert!((x[0] - 1.5).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
     }
@@ -287,7 +306,7 @@ mod tests {
     fn cholesky_rejects_indefinite() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, −1
         assert_eq!(
-            a.cholesky_solve(&[1.0, 1.0]),
+            cholesky(&a, &[1.0, 1.0]),
             Err(NumericsError::SingularMatrix)
         );
     }
@@ -314,7 +333,7 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         assert_eq!(a.matvec(&[1.0]), Err(NumericsError::DimensionMismatch));
         assert_eq!(
-            a.cholesky_solve(&[1.0, 1.0]),
+            cholesky(&a, &[1.0, 1.0]),
             Err(NumericsError::DimensionMismatch)
         );
     }
@@ -356,7 +375,7 @@ mod tests {
                     a[(i, j)] = s + if i == j { 1.0 } else { 0.0 };
                 }
             }
-            let xc = a.cholesky_solve(&b).unwrap();
+            let xc = cholesky(&a, &b).unwrap();
             let xl = a.lu_solve(&b).unwrap();
             for (c, l) in xc.iter().zip(&xl) {
                 prop_assert!((c - l).abs() < 1e-8 * (1.0 + c.abs()));

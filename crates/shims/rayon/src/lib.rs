@@ -1,22 +1,241 @@
 //! Offline stand-in for the subset of `rayon` this workspace uses.
 //!
-//! Provides `par_iter().map(..).collect()` over slices, implemented with
-//! `std::thread::scope` and contiguous chunking. Results preserve input
-//! order exactly, so a parallel stage is bit-identical to its serial
-//! equivalent. The worker count defaults to the machine's available
-//! parallelism.
+//! Provides `par_iter().map(..).collect()` over slices and
+//! `par_iter_mut().{map(..).collect(), for_each(..)}` over mutable
+//! slices, run on one process-wide persistent thread pool.
+//!
+//! # The pool
+//!
+//! The first parallel call starts `current_num_threads() − 1` parked
+//! worker threads that live for the rest of the process; the thread
+//! count is read from the machine once and cached. A call splits its
+//! slice into `current_num_threads()` contiguous chunks (fewer for a
+//! short slice), queues chunks `1..n` on the pool's one job queue, runs
+//! chunk 0 itself, and then **helps**: it pops and runs any queued job —
+//! its own or anyone else's — until its own chunks are all done,
+//! sleeping only while the queue is empty. Workers pop the oldest job,
+//! helpers the newest, so a helper tends to finish its own chunks first.
+//!
+//! A parallel call made *inside* a job (a shard's evaluation fan-out
+//! inside the runtime's per-shard fan-out) therefore queues its chunks
+//! where any idle thread picks them up: an idle worker is lent to the
+//! busy outer job instead of the inner call running serially. It cannot
+//! deadlock: a thread sleeps only while the queue is empty, so every
+//! unfinished chunk is running on some thread, and the innermost running
+//! chunk waits on nothing, so some chunk always makes progress.
+//!
+//! # Determinism
+//!
+//! Chunk boundaries depend only on the slice length and the cached
+//! thread count, every chunk writes into its own result slot, and the
+//! slots are concatenated in chunk order. Output order — and every
+//! value, since each element is mapped exactly once by the same code —
+//! is therefore identical to the serial path, which is what runs when
+//! there is one thread or one element.
+//!
+//! # Panics
+//!
+//! Every job runs under `catch_unwind`, so workers never die. If any
+//! element panics, the call re-raises on its caller with the message
+//! `rayon-shim worker panicked`, but only once all of its chunks have
+//! finished: no job ever outlives the stack frame it borrows. The queue
+//! lock is never held while a job runs, so no job can poison it.
 
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// The number of worker threads used by parallel iterators.
+/// The number of threads parallel iterators use: the pool's workers
+/// plus the calling thread. Read from the machine once and cached.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// One parallel call: the chunk runner and a latch counting the chunks
+/// still to finish. Lives on the caller's stack.
+struct Batch<'a> {
+    run: &'a (dyn Fn(usize) + Sync),
+    pending: AtomicUsize,
+    panicked: AtomicBool,
+}
+
+/// One queued chunk of a [`Batch`].
+#[derive(Clone, Copy)]
+struct Job {
+    batch: *const Batch<'static>,
+    index: usize,
+}
+
+// SAFETY: a `Job` is a pointer to a `Batch` whose runner is `Sync` and
+// whose counters are atomics, so any thread may use it; `Pool::run`
+// keeps the batch alive until every job pointing at it has finished.
+unsafe impl Send for Job {}
+
+impl Job {
+    /// Runs the chunk, records a panic, and counts the chunk done.
+    ///
+    /// # Safety
+    ///
+    /// The batch must be alive; it may be freed as soon as this chunk
+    /// is counted done, so nothing touches it afterwards.
+    unsafe fn execute(self, pool: &Pool) {
+        let batch = &*self.batch;
+        if panic::catch_unwind(AssertUnwindSafe(|| (batch.run)(self.index))).is_err() {
+            // Published to the caller by the `AcqRel` decrement below.
+            batch.panicked.store(true, Ordering::Relaxed);
+        }
+        if batch.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // The caller checks `pending` under the queue lock before it
+            // sleeps, so taking the lock here means it cannot miss this.
+            drop(pool.lock());
+            pool.wake.notify_all();
+        }
+    }
+}
+
+/// The process-wide pool: one job queue shared by every caller.
+struct Pool {
+    queue: Mutex<VecDeque<Job>>,
+    /// Signalled when jobs are queued and when a batch finishes.
+    wake: Condvar,
+}
+
+/// The pool, starting its workers on first use. Workers are never
+/// joined: they park on the queue for the life of the process, and a
+/// panic in a job is re-raised on that job's caller, not lost.
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        for _ in 1..current_num_threads() {
+            std::thread::Builder::new()
+                .name("rayon-shim-worker".into())
+                .spawn(|| pool().help(true, || false))
+                .expect("rayon-shim could not start a worker thread");
+        }
+        Pool {
+            queue: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
+        }
+    })
+}
+
+impl Pool {
+    /// Locks the queue. No job runs under the lock and queue operations
+    /// leave it valid at every step, so a poisoned lock holds a valid
+    /// queue and is recovered rather than unwinding a caller whose
+    /// jobs may still borrow its stack.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Job>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs queued jobs until `done()`, sleeping while the queue is
+    /// empty. Workers (`oldest_first`, with `done` never true) spread
+    /// the oldest calls across threads; a caller waiting on its own
+    /// chunks takes the newest job, most likely one of its own.
+    fn help(&self, oldest_first: bool, done: impl Fn() -> bool) {
+        let mut queue = self.lock();
+        while !done() {
+            let job = if oldest_first {
+                queue.pop_front()
+            } else {
+                queue.pop_back()
+            };
+            match job {
+                Some(job) => {
+                    drop(queue);
+                    // SAFETY: a queued job's batch is alive until the job
+                    // is counted done (see `run`).
+                    unsafe { job.execute(self) };
+                    queue = self.lock();
+                }
+                None => {
+                    queue = self
+                        .wake
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+        }
+    }
+
+    /// Runs `run(0..chunks)` across the pool and returns once every
+    /// chunk has finished; panics if any chunk panicked.
+    fn run(&self, chunks: usize, run: &(dyn Fn(usize) + Sync)) {
+        let batch = Batch {
+            run,
+            pending: AtomicUsize::new(chunks),
+            panicked: AtomicBool::new(false),
+        };
+        debug_assert!(chunks > 0, "a batch has at least one chunk");
+        // The lifetime is erased so jobs can sit in the shared queue.
+        let ptr = (&batch as *const Batch<'_>).cast::<Batch<'static>>();
+        self.lock()
+            .extend((1..chunks).map(|index| Job { batch: ptr, index }));
+        self.wake.notify_all();
+        let first = Job {
+            batch: ptr,
+            index: 0,
+        };
+        // The caller runs chunk 0, then helps until all chunks are done.
+        // SAFETY: `batch` outlives every job pointing at it: `help`
+        // returns only once `pending` is zero — every job has been
+        // counted done and will not touch it again — and nothing between
+        // here and there can unwind, since jobs run under `catch_unwind`
+        // and the lock recovers from poisoning.
+        unsafe { first.execute(self) };
+        self.help(false, || batch.pending.load(Ordering::Acquire) == 0);
+        if batch.panicked.load(Ordering::Relaxed) {
+            panic!("rayon-shim worker panicked");
+        }
+    }
+}
+
+/// Maps every input through `f` on the pool, returning the outputs in
+/// input order. Each slot is touched by exactly one job, and no lock is
+/// held while `f` runs.
+fn fan_out<C: Send, R: Send>(inputs: impl Iterator<Item = C>, f: impl Fn(C) -> R + Sync) -> Vec<R> {
+    type Slot<C, R> = (Mutex<Option<C>>, Mutex<Option<R>>);
+    let slots: Vec<Slot<C, R>> = inputs
+        .map(|input| (Mutex::new(Some(input)), Mutex::new(None)))
+        .collect();
+    pool().run(slots.len(), &|i| {
+        let (input, output) = &slots[i];
+        let input = input
+            .lock()
+            .expect("slot locks are never held across `f`")
+            .take();
+        let out = f(input.expect("each chunk runs once"));
+        *output.lock().expect("slot locks are never held across `f`") = Some(out);
+    });
+    slots
+        .into_iter()
+        .map(|(_, output)| {
+            let out = output
+                .into_inner()
+                .expect("slot locks are never held across `f`");
+            out.expect("every chunk finished")
+        })
+        .collect()
+}
+
+/// The chunk size splitting `len` elements across the pool, or `None`
+/// when the call should run serially on the caller.
+fn chunk_size(len: usize) -> Option<usize> {
+    let workers = current_num_threads().clamp(1, len.max(1));
+    (workers > 1).then(|| len.div_ceil(workers))
 }
 
 /// Parallel iterator types.
 pub mod iter {
+    use super::{chunk_size, fan_out};
+
     /// A parallel iterator over `&[T]`.
     pub struct ParIter<'a, T> {
         items: &'a [T],
@@ -51,25 +270,16 @@ pub mod iter {
     impl<'a, T: Sync, U: Send, F: Fn(&'a T) -> U + Sync> ParMap<'a, T, F> {
         /// Runs the map in parallel and collects, preserving input order.
         pub fn collect<C: FromIterator<U>>(self) -> C {
-            let workers = super::current_num_threads().clamp(1, self.items.len().max(1));
-            if workers == 1 {
+            let Some(size) = chunk_size(self.items.len()) else {
                 return self.items.iter().map(&self.f).collect();
-            }
-            let chunk_size = self.items.len().div_ceil(workers);
+            };
             let f = &self.f;
-            let mut chunk_results: Vec<Vec<U>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .items
-                    .chunks(chunk_size)
-                    .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<U>>()))
-                    .collect();
-                chunk_results = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rayon-shim worker panicked"))
-                    .collect();
-            });
-            chunk_results.into_iter().flatten().collect()
+            fan_out(self.items.chunks(size), |chunk| {
+                chunk.iter().map(f).collect::<Vec<U>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
         }
     }
 
@@ -86,8 +296,8 @@ pub mod iter {
 
     impl<'a, T: Send> ParIterMut<'a, T> {
         /// Maps every element through `f` in parallel, with mutable
-        /// access. One worker owns each contiguous chunk, so `f` never
-        /// observes another worker's element.
+        /// access. One job owns each contiguous chunk, so `f` never
+        /// observes another job's element.
         pub fn map<U: Send, F: Fn(&mut T) -> U + Sync>(self, f: F) -> ParMapMut<'a, T, F> {
             ParMapMut {
                 items: self.items,
@@ -100,17 +310,12 @@ pub mod iter {
         /// results into the elements themselves (e.g. a scratch arena's
         /// evaluation slots) and must not allocate per-item output.
         pub fn for_each<F: Fn(&mut T) + Sync>(self, f: F) {
-            let workers = super::current_num_threads().clamp(1, self.items.len().max(1));
-            if workers == 1 {
+            let Some(size) = chunk_size(self.items.len()) else {
                 self.items.iter_mut().for_each(f);
                 return;
-            }
-            let chunk_size = self.items.len().div_ceil(workers);
-            let f = &f;
-            std::thread::scope(|scope| {
-                for chunk in self.items.chunks_mut(chunk_size) {
-                    scope.spawn(move || chunk.iter_mut().for_each(f));
-                }
+            };
+            fan_out(self.items.chunks_mut(size), |chunk| {
+                chunk.iter_mut().for_each(&f)
             });
         }
 
@@ -128,25 +333,16 @@ pub mod iter {
     impl<T: Send, U: Send, F: Fn(&mut T) -> U + Sync> ParMapMut<'_, T, F> {
         /// Runs the map in parallel and collects, preserving input order.
         pub fn collect<C: FromIterator<U>>(self) -> C {
-            let workers = super::current_num_threads().clamp(1, self.items.len().max(1));
-            if workers == 1 {
+            let Some(size) = chunk_size(self.items.len()) else {
                 return self.items.iter_mut().map(&self.f).collect();
-            }
-            let chunk_size = self.items.len().div_ceil(workers);
+            };
             let f = &self.f;
-            let mut chunk_results: Vec<Vec<U>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .items
-                    .chunks_mut(chunk_size)
-                    .map(|chunk| scope.spawn(move || chunk.iter_mut().map(f).collect::<Vec<U>>()))
-                    .collect();
-                chunk_results = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rayon-shim worker panicked"))
-                    .collect();
-            });
-            chunk_results.into_iter().flatten().collect()
+            fan_out(self.items.chunks_mut(size), |chunk| {
+                chunk.iter_mut().map(f).collect::<Vec<U>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
         }
     }
 
@@ -279,5 +475,67 @@ mod tests {
         let mut empty: Vec<u64> = Vec::new();
         let out: Vec<u64> = empty.par_iter_mut().map(|x| *x).collect();
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn nested_fan_out_completes_and_preserves_order() {
+        let mut groups: Vec<Vec<u64>> = (0..16)
+            .map(|g| (0..100).map(|i| g * 1_000 + i).collect())
+            .collect();
+        let sums: Vec<u64> = groups
+            .par_iter_mut()
+            .map(|group| {
+                group.par_iter_mut().for_each(|x| *x += 1);
+                group.iter().sum()
+            })
+            .collect();
+        for (g, (group, sum)) in groups.iter().zip(&sums).enumerate() {
+            let g = g as u64;
+            let want: Vec<u64> = (0..100).map(|i| g * 1_000 + i + 1).collect();
+            assert_eq!(group, &want);
+            assert_eq!(*sum, want.iter().sum::<u64>());
+        }
+    }
+
+    #[test]
+    fn panic_reraises_on_caller_and_pool_survives() {
+        let items: Vec<u64> = (0..1_000).collect();
+        let caught = std::panic::catch_unwind(|| {
+            items
+                .par_iter()
+                .map(|&x| {
+                    assert!(x != 700, "boom at {x}");
+                    x
+                })
+                .collect::<Vec<u64>>()
+        });
+        let payload = caught.expect_err("the panic reaches the caller");
+        if super::current_num_threads() > 1 {
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"rayon-shim worker panicked")
+            );
+        }
+        let again: Vec<u64> = items.par_iter().map(|&x| x + 1).collect();
+        assert_eq!(again, (1..1_001).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_callers_get_their_own_results() {
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for offset in [0u64, 1_000_000] {
+                let start = &start;
+                scope.spawn(move || {
+                    let items: Vec<u64> = (offset..offset + 500).collect();
+                    start.wait();
+                    for round in 0..200 {
+                        let out: Vec<u64> = items.par_iter().map(|&x| x * 3 + round).collect();
+                        let want: Vec<u64> = items.iter().map(|&x| x * 3 + round).collect();
+                        assert_eq!(out, want);
+                    }
+                });
+            }
+        });
     }
 }

@@ -35,6 +35,7 @@
 use std::time::Instant;
 
 use arb_bench::json::JsonLine;
+use arb_bench::percentile_ns;
 use arb_engine::{OpportunityPipeline, PipelineConfig, RuntimeReport, ShardedRuntime};
 use arb_ingest::{IngestConfig, IngestDriver, Ingestor, LagPolicy};
 use arb_journal::{JournalConfig, JournalWriter};
@@ -122,13 +123,6 @@ fn assert_final_identical(leg: &str, got: &RuntimeReport, expected: &RuntimeRepo
             "{leg} #{position}: net profit"
         );
     }
-}
-
-fn percentile_ns(samples: &[u64], p: f64) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 struct LiveLeg {

@@ -142,7 +142,8 @@ fn journal_counters(_c: &mut Criterion) {
     let recovery_start = Instant::now();
     let recovered = Recovery::new(&dir, pipeline(), SHARDS)
         .with_genesis_pools(scenario.pools.clone())
-        .recover(&feed)
+        .with_genesis_feed(feed.clone())
+        .recover_journaled()
         .expect("recover");
     let recovery_ns = recovery_start.elapsed().as_nanos() as u64;
     let stats = recovered.stats;
@@ -162,7 +163,8 @@ fn journal_counters(_c: &mut Criterion) {
     let genesis_start = Instant::now();
     let genesis = Recovery::new(&dir, pipeline(), SHARDS)
         .with_genesis_pools(scenario.pools.clone())
-        .recover(&feed)
+        .with_genesis_feed(feed.clone())
+        .recover_journaled()
         .expect("genesis recover");
     let genesis_ns = genesis_start.elapsed().as_nanos() as u64;
     assert_eq!(genesis.stats.snapshot_offset, None);

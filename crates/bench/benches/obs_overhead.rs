@@ -30,6 +30,7 @@
 use std::time::Instant;
 
 use arb_bench::json::JsonLine;
+use arb_bench::percentile_ns;
 use arb_engine::{OpportunityPipeline, PipelineConfig, RuntimeReport, ShardedRuntime};
 use arb_ingest::{IngestConfig, IngestDriver, Ingestor};
 use arb_obs::{Obs, ObsOptions};
@@ -113,13 +114,6 @@ fn run_leg(scenario: &Scenario, obs: Option<&Obs>) -> Leg {
         stats: ingestor.stats(),
         batches: driver.batches_applied(),
     }
-}
-
-fn percentile_ns(samples: &[u64], p: f64) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Per-tick minimum across rounds: `rounds[r][i]` is tick `i`'s

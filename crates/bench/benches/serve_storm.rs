@@ -35,6 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use arb_bench::json::JsonLine;
+use arb_bench::percentile_ns;
 use arb_engine::{OpportunityPipeline, PipelineConfig, ShardedRuntime};
 use arb_serve::{
     ClassLimit, ClientClass, GovernorConfig, RankedSnapshot, ServeError, ServeHandle, ServeRuntime,
@@ -162,13 +163,6 @@ fn replay_epoch(serve: &mut ServeRuntime, scenario: &Scenario, tick_ns: &mut Vec
         );
         tick_ns.push(start.elapsed().as_nanos() as u64);
     }
-}
-
-fn percentile_ns(samples: &[u64], p: f64) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// The asserted storm pass: quiet baseline, then the governed read

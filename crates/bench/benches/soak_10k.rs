@@ -19,6 +19,7 @@
 //! The JSON line goes to `BENCH_soak.json` via the workflow's tee+grep.
 
 use arb_bench::json::JsonLine;
+use arb_bench::percentile_ns;
 use arb_engine::{
     ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, RebalanceConfig, ShardedRuntime,
     StreamingEngine,
@@ -70,13 +71,6 @@ fn assert_identical(label: &str, a: &[ArbitrageOpportunity], b: &[ArbitrageOppor
             y.net_profit.value().to_bits()
         );
     }
-}
-
-fn percentile_ns(samples: &[u64], p: f64) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 fn soak(_c: &mut Criterion) {

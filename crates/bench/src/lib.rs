@@ -31,6 +31,16 @@ pub mod json;
 pub mod paper;
 pub mod timing;
 
+/// The nearest-rank `p`-quantile of `samples` (`p` in `[0, 1]`): the
+/// smallest sample at or above a `p` share of them. Panics on an empty
+/// slice.
+pub fn percentile_ns(samples: &[u64], p: f64) -> u64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = ((sorted.len() as f64) * p).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// The workspace-level results directory.
 pub fn results_dir() -> std::path::PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; results live at the repo root.
@@ -48,5 +58,15 @@ mod tests {
     fn results_dir_is_repo_level() {
         let dir = super::results_dir();
         assert!(dir.ends_with("results"));
+    }
+
+    #[test]
+    fn percentile_ns_is_nearest_rank() {
+        let samples: Vec<u64> = (1..=100).rev().collect();
+        assert_eq!(super::percentile_ns(&samples, 0.50), 50);
+        assert_eq!(super::percentile_ns(&samples, 0.99), 99);
+        assert_eq!(super::percentile_ns(&samples, 1.0), 100);
+        assert_eq!(super::percentile_ns(&samples, 0.0), 1);
+        assert_eq!(super::percentile_ns(&[7], 0.99), 7);
     }
 }

@@ -7,7 +7,6 @@ use arb_core::monetize::Usd;
 use arb_core::{ConvexOptimization, MaxMax};
 use arb_dexsim::chain::{Chain, EventCursor};
 use arb_dexsim::state::AccountId;
-use arb_dexsim::tx::Transaction;
 use arb_engine::{
     ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, RuntimeStats, ScreenTotals,
     ShardLoads, ShardedRuntime, SharedStrategy, StreamStats, StreamingEngine,
@@ -299,37 +298,12 @@ impl ArbBot {
             ScanMode::Sharded => self.sharded_opportunities(chain, feed)?,
         };
         self.publish(&opportunities);
-        let action = self.execute_best(chain, &opportunities)?;
+        let action = execution::submit_best(chain, self.account, &opportunities)?;
         drop(step_span);
         if let Some(obs) = &mut self.obs {
             obs.after_step(matches!(action, BotAction::Submitted { .. }));
         }
         Ok(action)
-    }
-
-    /// Submits a flash bundle for the best executable opportunity in the
-    /// ranking, skipping loops that rounding collapsed.
-    fn execute_best(
-        &self,
-        chain: &mut Chain,
-        opportunities: &[ArbitrageOpportunity],
-    ) -> Result<BotAction, BotError> {
-        for opportunity in opportunities {
-            let steps = execution::opportunity_bundle(chain, opportunity)?;
-            if steps.len() < opportunity.cycle.len() {
-                // Rounding collapsed a hop; try the next-ranked loop
-                // rather than submit a broken bundle.
-                continue;
-            }
-            let expected = opportunity.gross_profit;
-            let hops = steps.len();
-            chain.submit(Transaction::FlashBundle {
-                account: self.account,
-                steps,
-            });
-            return Ok(BotAction::Submitted { expected, hops });
-        }
-        Ok(BotAction::Idle)
     }
 
     /// Publishes the ranking this step acted on, when serving is
@@ -447,37 +421,11 @@ impl ArbBot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{drive, funded_whale, paper_chain, paper_feed, t};
     use arb_amm::fee::FeeRate;
-    use arb_amm::token::TokenId;
     use arb_cex::feed::PriceTable;
+    use arb_dexsim::tx::Transaction;
     use arb_dexsim::units::to_raw;
-
-    fn t(i: u32) -> TokenId {
-        TokenId::new(i)
-    }
-
-    fn paper_chain() -> Chain {
-        let mut chain = Chain::new();
-        let fee = FeeRate::UNISWAP_V2;
-        chain
-            .add_pool(t(0), t(1), to_raw(100.0), to_raw(200.0), fee)
-            .unwrap();
-        chain
-            .add_pool(t(1), t(2), to_raw(300.0), to_raw(200.0), fee)
-            .unwrap();
-        chain
-            .add_pool(t(2), t(0), to_raw(200.0), to_raw(400.0), fee)
-            .unwrap();
-        chain
-    }
-
-    fn paper_feed() -> PriceTable {
-        let mut feed = PriceTable::new();
-        feed.set(t(0), 2.0);
-        feed.set(t(1), 10.2);
-        feed.set(t(2), 20.0);
-        feed
-    }
 
     #[test]
     fn maxmax_bot_extracts_paper_profit() {
@@ -569,28 +517,11 @@ mod tests {
                     ..BotConfig::default()
                 },
             );
-            let whale = chain.create_account();
-            chain.mint(whale, t(0), to_raw(1_000.0));
-            let mut actions = Vec::new();
-            for i in 0..6 {
-                // A whale trade perturbs pool 0 between bot steps.
-                chain.submit(Transaction::Swap {
-                    account: whale,
-                    pool: arb_amm::pool::PoolId::new(0),
-                    token_in: t(0),
-                    amount_in: to_raw(2.0 + i as f64),
-                    min_out: 0,
-                });
-                chain.mine_block();
-                let action = bot.step(&mut chain, &paper_feed()).unwrap();
-                chain.mine_block();
-                actions.push(match action {
-                    BotAction::Idle => None,
-                    BotAction::Submitted { expected, hops } => {
-                        Some((expected.value().to_bits(), hops))
-                    }
-                });
-            }
+            // A whale trade perturbs pool 0 between bot steps.
+            let whale = funded_whale(&mut chain);
+            let actions = drive(&mut chain, whale, 0..6, |chain, _| {
+                bot.step(chain, &paper_feed()).unwrap()
+            });
             (actions, chain.state().digest())
         };
         let (streaming_actions, streaming_digest) = run(ScanMode::Streaming);

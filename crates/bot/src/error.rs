@@ -19,9 +19,10 @@ pub enum BotError {
     Snapshot(arb_snapshot::SnapshotError),
     /// An engine failure outside the graph/strategy categories.
     Engine(arb_engine::EngineError),
-    /// Durable journaling or recovery failed (journaled mode only).
+    /// Durable journaling or recovery failed (durable mode only:
+    /// [`crate::IngestBot`], [`crate::SupervisedBot`]).
     Journal(arb_journal::JournalError),
-    /// The ingestion front-end failed (ingest mode only).
+    /// The ingestion front-end failed (durable mode only).
     Ingest(arb_ingest::IngestError),
     /// A supervised bot panicked more times than its recovery budget
     /// allows (supervised mode only).

@@ -12,18 +12,22 @@
 //!   flash-loan settlement check enforces per-token solvency at
 //!   execution time;
 //! * [`opportunity_bundle`] — picks between the two shapes for an
-//!   [`arb_engine::ArbitrageOpportunity`].
+//!   [`arb_engine::ArbitrageOpportunity`];
+//! * [`submit_best`] — submits the bundle of the best-ranked opportunity
+//!   whose bundle survived rounding.
 //!
 //! Either way the bundle is atomic: if integer rounding or interleaved
 //! transactions made it unprofitable, it reverts and costs nothing but gas.
 
 use arb_convex::LoopPlan;
 use arb_dexsim::chain::Chain;
-use arb_dexsim::tx::BundleStep;
+use arb_dexsim::state::AccountId;
+use arb_dexsim::tx::{BundleStep, Transaction};
 use arb_dexsim::units::to_raw;
 use arb_engine::ArbitrageOpportunity;
 use arb_graph::Cycle;
 
+use crate::bot::BotAction;
 use crate::error::BotError;
 
 /// Builds a bundle that enters the cycle at `rotation` with
@@ -107,13 +111,40 @@ pub fn opportunity_bundle(
     }
 }
 
+/// Submits a flash bundle from `account` for the first opportunity in
+/// the ranking whose bundle keeps every hop, skipping loops where integer
+/// rounding collapsed one. The transaction is only *submitted*; the
+/// caller mines the block.
+///
+/// # Errors
+///
+/// See [`opportunity_bundle`].
+pub fn submit_best(
+    chain: &mut Chain,
+    account: AccountId,
+    opportunities: &[ArbitrageOpportunity],
+) -> Result<BotAction, BotError> {
+    for opportunity in opportunities {
+        let steps = opportunity_bundle(chain, opportunity)?;
+        if steps.len() < opportunity.cycle.len() {
+            // Rounding collapsed a hop; try the next-ranked loop rather
+            // than submit a broken bundle.
+            continue;
+        }
+        let expected = opportunity.gross_profit;
+        let hops = steps.len();
+        chain.submit(Transaction::FlashBundle { account, steps });
+        return Ok(BotAction::Submitted { expected, hops });
+    }
+    Ok(BotAction::Idle)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use arb_amm::fee::FeeRate;
     use arb_amm::token::TokenId;
     use arb_convex::{LoopProblem, SolverOptions};
-    use arb_dexsim::tx::Transaction;
     use arb_dexsim::units::to_raw;
     use arb_graph::TokenGraph;
 

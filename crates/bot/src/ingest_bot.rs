@@ -1,28 +1,30 @@
-//! The bot's ingest-fronted mode: one journaled multiplexed stream for
-//! chain events **and** CEX price moves.
+//! The bot's durable mode: one journaled multiplexed stream for chain
+//! events **and** CEX price moves, periodic checkpoints, crash recovery.
 //!
-//! [`IngestBot`] replaces [`crate::JournaledBot`]'s "journal the chain,
-//! hope the feed is reproducible" split with the `arb-ingest` front-end:
+//! [`IngestBot`] fronts the sharded scan loop with the `arb-ingest`
+//! front-end and the `arb-journal` durability stack:
 //!
 //! * every block, the CEX feed's price moves and the chain's new events
 //!   are staged on separate [`arb_ingest::Ingestor`] sources, sealed
 //!   into one deterministically ordered block, journaled **raw**, then
 //!   coalesced and applied through an [`arb_ingest::IngestDriver`];
-//! * checkpoints embed the price table and the per-source stream
-//!   positions, so [`IngestBot::recover`] rebuilds the fleet *and* the
-//!   feed from disk alone — no live price feed is needed to resume,
-//!   closing the recovery gap the journaled mode had;
-//! * the scan/execute policy is unchanged from [`crate::JournaledBot`]:
-//!   best executable opportunity per block, flash-bundle submission.
+//! * every [`JournalSettings::checkpoint_every_events`] staged events, a
+//!   checkpoint embeds the fleet, the price table and the per-source
+//!   stream positions, old snapshots are pruned and fully-snapshotted
+//!   segments compacted;
+//! * [`IngestBot::recover`] rebuilds the fleet *and* the feed from disk
+//!   alone — no live price feed is needed to resume;
+//! * the scan/execute policy is [`crate::ArbBot`]'s in
+//!   [`crate::ScanMode::Sharded`]: best executable opportunity per
+//!   block, flash-bundle submission ([`execution::submit_best`]).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use arb_amm::token::TokenId;
 use arb_cex::feed::PriceTable;
 use arb_dexsim::chain::{Chain, EventCursor};
 use arb_dexsim::state::AccountId;
-use arb_dexsim::tx::Transaction;
 use arb_ingest::{IngestConfig, IngestDriver, IngestStats, Ingestor, SourceId};
 use arb_journal::{
     JournalConfig, JournalError, JournalWriter, Recovery, RecoveryStats, SnapshotStore,
@@ -32,12 +34,44 @@ use crate::bot::{pipeline_for, BotAction};
 use crate::config::BotConfig;
 use crate::error::BotError;
 use crate::execution;
-use crate::journal::JournalSettings;
 use crate::obs::{BotObs, ExportSink, ObsConfig};
 use crate::scanner;
 
-/// An arbitrage bot fed through the `arb-ingest` front-end. See the
-/// module docs for how it differs from [`crate::JournaledBot`].
+/// Durability tuning for [`IngestBot`].
+#[derive(Debug, Clone)]
+pub struct JournalSettings {
+    /// Directory holding segments and snapshots.
+    pub dir: PathBuf,
+    /// Take a checkpoint after this many staged events.
+    pub checkpoint_every_events: usize,
+    /// Segment roll threshold ([`JournalConfig::segment_max_bytes`]).
+    pub segment_max_bytes: u64,
+    /// Snapshots retained after each checkpoint (older ones are pruned).
+    pub keep_snapshots: usize,
+}
+
+impl JournalSettings {
+    /// Settings with production-shaped defaults: checkpoint every 256
+    /// events, 256 KiB segments, 2 retained snapshots.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        JournalSettings {
+            dir: dir.into(),
+            checkpoint_every_events: 256,
+            segment_max_bytes: 256 * 1024,
+            keep_snapshots: 2,
+        }
+    }
+
+    fn journal_config(&self) -> JournalConfig {
+        JournalConfig {
+            segment_max_bytes: self.segment_max_bytes,
+            sync_on_commit: true,
+        }
+    }
+}
+
+/// An arbitrage bot whose market view survives restarts, fed through the
+/// `arb-ingest` front-end. See the module docs for the lifecycle.
 #[derive(Debug)]
 pub struct IngestBot {
     account: AccountId,
@@ -54,13 +88,6 @@ pub struct IngestBot {
     checkpoints_taken: usize,
     recovery: Option<RecoveryStats>,
     obs: Option<BotObs>,
-}
-
-fn journal_config(settings: &JournalSettings) -> JournalConfig {
-    JournalConfig {
-        segment_max_bytes: settings.segment_max_bytes,
-        sync_on_commit: true,
-    }
 }
 
 impl IngestBot {
@@ -84,7 +111,7 @@ impl IngestBot {
         settings: JournalSettings,
         ingest: IngestConfig,
     ) -> Result<Self, BotError> {
-        let writer = JournalWriter::open(&settings.dir, journal_config(&settings))
+        let writer = JournalWriter::open(&settings.dir, settings.journal_config())
             .map_err(JournalError::from)?;
         if writer.next_offset() != 0 {
             return Err(BotError::Journal(JournalError::Corrupt(
@@ -178,7 +205,7 @@ impl IngestBot {
         ingest: IngestConfig,
         account: Option<AccountId>,
     ) -> Result<Self, BotError> {
-        let writer = JournalWriter::open(&settings.dir, journal_config(&settings))
+        let writer = JournalWriter::open(&settings.dir, settings.journal_config())
             .map_err(JournalError::from)?;
         let writer = Arc::new(Mutex::new(writer));
 
@@ -361,24 +388,10 @@ impl IngestBot {
             self.checkpoint()?;
         }
 
-        let Some(report) = report else {
-            return Ok(BotAction::Idle);
-        };
-        for opportunity in &report.opportunities {
-            let steps = execution::opportunity_bundle(chain, opportunity)?;
-            if steps.len() < opportunity.cycle.len() {
-                // Rounding collapsed a hop; try the next-ranked loop.
-                continue;
-            }
-            let expected = opportunity.gross_profit;
-            let hops = steps.len();
-            chain.submit(Transaction::FlashBundle {
-                account: self.account,
-                steps,
-            });
-            return Ok(BotAction::Submitted { expected, hops });
+        match report {
+            Some(report) => execution::submit_best(chain, self.account, &report.opportunities),
+            None => Ok(BotAction::Idle),
         }
-        Ok(BotAction::Idle)
     }
 
     /// Writes a snapshot of the fleet — including the price table and
@@ -438,111 +451,30 @@ impl IngestBot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arb_amm::fee::FeeRate;
-    use arb_amm::pool::PoolId;
-    use arb_dexsim::units::to_raw;
+    use crate::testkit::{drive, funded_whale, paper_chain, paper_feed, t, TestDir};
+    use arb_journal::JournalReader;
     use std::fs;
-    use std::path::PathBuf;
 
-    fn t(i: u32) -> TokenId {
-        TokenId::new(i)
-    }
-
-    struct Scratch(PathBuf);
-
-    impl Scratch {
-        fn new(name: &str) -> Self {
-            let dir =
-                std::env::temp_dir().join(format!("arbloops-ibot-{}-{name}", std::process::id()));
-            let _ = fs::remove_dir_all(&dir);
-            Scratch(dir)
-        }
-    }
-
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn paper_chain() -> Chain {
-        let mut chain = Chain::new();
-        let fee = FeeRate::UNISWAP_V2;
-        chain
-            .add_pool(t(0), t(1), to_raw(100.0), to_raw(200.0), fee)
-            .unwrap();
-        chain
-            .add_pool(t(1), t(2), to_raw(300.0), to_raw(200.0), fee)
-            .unwrap();
-        chain
-            .add_pool(t(2), t(0), to_raw(200.0), to_raw(400.0), fee)
-            .unwrap();
-        chain
-    }
-
-    fn paper_feed() -> PriceTable {
-        [(t(0), 2.0), (t(1), 10.2), (t(2), 20.0)]
-            .into_iter()
-            .collect()
-    }
-
-    fn settings(scratch: &Scratch, checkpoint_every: usize) -> JournalSettings {
+    fn settings(dir: &TestDir, checkpoint_every: usize) -> JournalSettings {
         JournalSettings {
             checkpoint_every_events: checkpoint_every,
-            ..JournalSettings::new(&scratch.0)
+            ..JournalSettings::new(dir.path())
         }
-    }
-
-    /// Per-block feed drift, a pure function of the global block index so
-    /// a split run sees exactly what a continuous one did.
-    fn moves_for(block: usize) -> Vec<(TokenId, f64)> {
-        vec![(t(1), 10.2 + 0.05 * block as f64)]
-    }
-
-    /// Drives whale-perturbed blocks through a stepper, mining the bot's
-    /// submissions, and returns the decision trace.
-    fn drive<S: FnMut(&mut Chain, &[(TokenId, f64)]) -> BotAction>(
-        chain: &mut Chain,
-        whale: AccountId,
-        blocks: std::ops::Range<usize>,
-        mut stepper: S,
-    ) -> Vec<Option<(u64, usize)>> {
-        blocks
-            .map(|i| {
-                chain.submit(Transaction::Swap {
-                    account: whale,
-                    pool: PoolId::new(0),
-                    token_in: t(0),
-                    amount_in: to_raw(2.0 + i as f64),
-                    min_out: 0,
-                });
-                chain.mine_block();
-                let action = stepper(chain, &moves_for(i));
-                chain.mine_block();
-                match action {
-                    BotAction::Idle => None,
-                    BotAction::Submitted { expected, hops } => {
-                        Some((expected.value().to_bits(), hops))
-                    }
-                }
-            })
-            .collect()
     }
 
     #[test]
     fn ingest_bot_recovers_without_a_live_feed_and_decides_identically() {
-        let scratch = Scratch::new("crash");
+        let dir = TestDir::new("crash");
 
         // The never-crashed oracle: one bot across all 8 blocks.
         let mut oracle_chain = paper_chain();
-        let whale = oracle_chain.create_account();
-        oracle_chain.mint(whale, t(0), to_raw(1_000.0));
-        let oracle_scratch = Scratch::new("crash-oracle");
+        let whale = funded_whale(&mut oracle_chain);
+        let oracle_dir = TestDir::new("crash-oracle");
         let mut oracle = IngestBot::attach(
             &mut oracle_chain,
             &paper_feed(),
             BotConfig::default(),
-            settings(&oracle_scratch, 4),
+            settings(&oracle_dir, 4),
             IngestConfig::default(),
         )
         .unwrap();
@@ -552,13 +484,12 @@ mod tests {
 
         // The crashing run: same chain history, bot dies after block 4.
         let mut chain = paper_chain();
-        let whale = chain.create_account();
-        chain.mint(whale, t(0), to_raw(1_000.0));
+        let whale = funded_whale(&mut chain);
         let mut bot = IngestBot::attach(
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
-            settings(&scratch, 4),
+            settings(&dir, 4),
             IngestConfig::default(),
         )
         .unwrap();
@@ -568,13 +499,13 @@ mod tests {
         });
         assert!(bot.checkpoints_taken() > 0, "checkpoints were due");
         let pre_crash_account = bot.account();
-        drop(bot); // 💥 no sink on the chain: events pile up un-journaled
+        drop(bot); // 💥 the chain's later events pile up un-journaled
 
         // NO feed is passed here — the whole point of the ingest stream.
         let mut bot = IngestBot::recover_as(
             &mut chain,
             BotConfig::default(),
-            settings(&scratch, 4),
+            settings(&dir, 4),
             IngestConfig::default(),
             pre_crash_account,
         )
@@ -614,16 +545,15 @@ mod tests {
 
     #[test]
     fn recovery_bootstraps_from_the_journaled_genesis_prefix() {
-        let scratch = Scratch::new("genesis");
+        let dir = TestDir::new("genesis");
         let mut chain = paper_chain();
-        let whale = chain.create_account();
-        chain.mint(whale, t(0), to_raw(1_000.0));
+        let whale = funded_whale(&mut chain);
         // Huge checkpoint interval: the bot dies before any snapshot.
         let mut bot = IngestBot::attach(
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
-            settings(&scratch, 10_000),
+            settings(&dir, 10_000),
             IngestConfig::default(),
         )
         .unwrap();
@@ -636,7 +566,7 @@ mod tests {
         let bot = IngestBot::recover(
             &mut chain,
             BotConfig::default(),
-            settings(&scratch, 10_000),
+            settings(&dir, 10_000),
             IngestConfig::default(),
         )
         .unwrap();
@@ -655,14 +585,66 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_compact_the_journal() {
+        let dir = TestDir::new("compact");
+        let mut chain = paper_chain();
+        let whale = funded_whale(&mut chain);
+        let mut bot = IngestBot::attach(
+            &mut chain,
+            &paper_feed(),
+            BotConfig::default(),
+            JournalSettings {
+                checkpoint_every_events: 2,
+                segment_max_bytes: 64, // force frequent segment rolls
+                keep_snapshots: 2,
+                ..JournalSettings::new(dir.path())
+            },
+            IngestConfig::default(),
+        )
+        .unwrap();
+        drive(&mut chain, whale, 0..6, |chain, moves| {
+            bot.step(chain, moves).unwrap()
+        });
+        assert!(bot.checkpoints_taken() >= 2);
+
+        let snapshots = SnapshotStore::new(dir.path()).unwrap().list().unwrap();
+        assert_eq!(snapshots.len(), 2, "pruning keeps the newest 2");
+        let oldest_retained = snapshots[0].0;
+        let (newest, newest_path) = &snapshots[1];
+
+        // Compaction dropped segments below the *oldest retained*
+        // snapshot — nothing below what any kept snapshot needs.
+        let reader = JournalReader::open(dir.path()).unwrap();
+        assert!(
+            reader.base_offset() > 0,
+            "fully-snapshotted segments should be gone"
+        );
+        assert!(
+            reader.base_offset() <= oldest_retained,
+            "compaction must not strand a retained snapshot (base {} > \
+             oldest snapshot {oldest_retained})",
+            reader.base_offset()
+        );
+        // And recovery still works over the compacted journal…
+        let recovery = Recovery::new(dir.path(), pipeline_for(&BotConfig::default()), 4);
+        let recovered = recovery.recover_journaled().unwrap();
+        assert_eq!(recovered.stats.snapshot_offset, Some(*newest));
+        // …including when the newest snapshot rots: the retained older
+        // one must be genuinely usable, not stranded past compaction.
+        fs::remove_file(newest_path).unwrap();
+        let fallback = recovery.recover_journaled().unwrap();
+        assert_eq!(fallback.stats.snapshot_offset, Some(oldest_retained));
+    }
+
+    #[test]
     fn attach_rejects_a_used_journal_directory() {
-        let scratch = Scratch::new("fresh");
+        let dir = TestDir::new("fresh");
         let mut chain = paper_chain();
         let bot = IngestBot::attach(
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
-            settings(&scratch, 100),
+            settings(&dir, 100),
             IngestConfig::default(),
         )
         .unwrap();
@@ -672,7 +654,7 @@ mod tests {
             &mut second,
             &paper_feed(),
             BotConfig::default(),
-            settings(&scratch, 100),
+            settings(&dir, 100),
             IngestConfig::default(),
         )
         .unwrap_err();

@@ -15,12 +15,11 @@
 //! * [`scanner`] — chain state → token graph → engine discovery run;
 //! * [`execution`] — engine opportunity → integer-exact flash bundle;
 //! * [`bot`] — the per-block policy over ranked engine opportunities;
-//! * [`journal`] — the durable mode: chain events journaled to disk,
-//!   periodic fleet checkpoints, crash recovery via `arb-journal`;
-//! * [`ingest_bot`] — the ingest-fronted mode: chain events *and* CEX
-//!   price moves multiplexed, journaled, and coalesced via `arb-ingest`,
-//!   with feed-free crash recovery;
-//! * [`supervisor`] — panic supervision over the ingest-fronted mode:
+//! * [`ingest_bot`] — the durable mode: chain events *and* CEX price
+//!   moves multiplexed, journaled, and coalesced via `arb-ingest`, with
+//!   periodic fleet checkpoints and feed-free crash recovery via
+//!   `arb-journal`;
+//! * [`supervisor`] — panic supervision over the durable mode:
 //!   catch a mid-tick panic, dump the flight recorder, rebuild from the
 //!   journal, retry, bounded by a recovery budget;
 //! * [`pnl`] — balance accounting and monetized PnL series;
@@ -49,17 +48,18 @@ pub mod config;
 pub mod error;
 pub mod execution;
 pub mod ingest_bot;
-pub mod journal;
 pub mod obs;
 pub mod pnl;
 pub mod scanner;
 pub mod sim;
 pub mod supervisor;
 
+#[cfg(test)]
+mod testkit;
+
 pub use bot::{pipeline_for, ArbBot, BotAction, ServeTelemetry};
 pub use config::{BotConfig, ScanMode, StrategyChoice};
 pub use error::BotError;
-pub use ingest_bot::IngestBot;
-pub use journal::{JournalSettings, JournaledBot};
+pub use ingest_bot::{IngestBot, JournalSettings};
 pub use obs::{ExportSink, ObsConfig};
 pub use supervisor::SupervisedBot;

@@ -1,8 +1,9 @@
 //! Bot-level observability wiring: configuration, per-step counters,
 //! periodic export, and the `/metrics`-style pull surface.
 //!
-//! Both bot flavors ([`crate::ArbBot`] and [`crate::IngestBot`]) attach
-//! through `enable_observability(ObsConfig)`, which builds one
+//! Both bots — [`crate::ArbBot`] and the durable [`crate::IngestBot`]
+//! (also behind [`crate::SupervisedBot`]) — attach through
+//! `enable_observability(ObsConfig)`, which builds one
 //! [`arb_obs::Obs`] handle and threads it through every layer they own
 //! (ingest front-end, engine/runtime, publisher). The bots then expose:
 //!
@@ -50,7 +51,7 @@ impl Default for ObsConfig {
 pub type ExportSink = Box<dyn FnMut(&str) + Send>;
 
 /// Per-bot observability state: the shared handle plus the step-level
-/// instruments both bot flavors record identically.
+/// instruments both bots record identically.
 pub(crate) struct BotObs {
     obs: Obs,
     export_every_steps: usize,

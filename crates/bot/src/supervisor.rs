@@ -40,8 +40,7 @@ use arb_ingest::{IngestConfig, IngestStats};
 use crate::bot::BotAction;
 use crate::config::BotConfig;
 use crate::error::BotError;
-use crate::ingest_bot::IngestBot;
-use crate::journal::JournalSettings;
+use crate::ingest_bot::{IngestBot, JournalSettings};
 use crate::obs::ObsConfig;
 
 /// An [`IngestBot`] wrapped in a panic supervisor. See the module docs
@@ -241,60 +240,16 @@ impl SupervisedBot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arb_amm::fee::FeeRate;
+    use crate::testkit::{drive, funded_whale, moves_for, paper_chain, paper_feed, t, TestDir};
     use arb_amm::pool::PoolId;
     use arb_chaos::{ChaosInjector, ChaosTickHook, FaultKind, FaultPlan};
     use arb_dexsim::tx::Transaction;
     use arb_dexsim::units::to_raw;
-    use std::fs;
-    use std::path::PathBuf;
 
-    fn t(i: u32) -> TokenId {
-        TokenId::new(i)
-    }
-
-    struct Scratch(PathBuf);
-
-    impl Scratch {
-        fn new(name: &str) -> Self {
-            let dir =
-                std::env::temp_dir().join(format!("arbloops-sup-{}-{name}", std::process::id()));
-            let _ = fs::remove_dir_all(&dir);
-            Scratch(dir)
-        }
-    }
-
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn paper_chain() -> Chain {
-        let mut chain = Chain::new();
-        let fee = FeeRate::UNISWAP_V2;
-        chain
-            .add_pool(t(0), t(1), to_raw(100.0), to_raw(200.0), fee)
-            .unwrap();
-        chain
-            .add_pool(t(1), t(2), to_raw(300.0), to_raw(200.0), fee)
-            .unwrap();
-        chain
-            .add_pool(t(2), t(0), to_raw(200.0), to_raw(400.0), fee)
-            .unwrap();
-        chain
-    }
-
-    fn paper_feed() -> PriceTable {
-        [(t(0), 2.0), (t(1), 10.2), (t(2), 20.0)]
-            .into_iter()
-            .collect()
-    }
-
-    fn settings(scratch: &Scratch) -> JournalSettings {
+    fn settings(dir: &TestDir) -> JournalSettings {
         JournalSettings {
             checkpoint_every_events: 4,
-            ..JournalSettings::new(&scratch.0)
+            ..JournalSettings::new(dir.path())
         }
     }
 
@@ -309,52 +264,17 @@ mod tests {
         )
     }
 
-    fn moves_for(block: usize) -> Vec<(TokenId, f64)> {
-        vec![(t(1), 10.2 + 0.05 * block as f64)]
-    }
-
-    /// Drives whale-perturbed blocks through a stepper, mining the
-    /// bot's submissions, and returns the decision trace.
-    fn drive<S: FnMut(&mut Chain, &[(TokenId, f64)]) -> BotAction>(
-        chain: &mut Chain,
-        whale: AccountId,
-        blocks: std::ops::Range<usize>,
-        mut stepper: S,
-    ) -> Vec<Option<(u64, usize)>> {
-        blocks
-            .map(|i| {
-                chain.submit(Transaction::Swap {
-                    account: whale,
-                    pool: PoolId::new(0),
-                    token_in: t(0),
-                    amount_in: to_raw(2.0 + i as f64),
-                    min_out: 0,
-                });
-                chain.mine_block();
-                let action = stepper(chain, &moves_for(i));
-                chain.mine_block();
-                match action {
-                    BotAction::Idle => None,
-                    BotAction::Submitted { expected, hops } => {
-                        Some((expected.value().to_bits(), hops))
-                    }
-                }
-            })
-            .collect()
-    }
-
     #[test]
     fn supervised_bot_survives_injected_panics_and_decides_identically() {
         // Oracle: a plain bot over the same blocks, never faulted.
         let mut oracle_chain = paper_chain();
-        let whale = oracle_chain.create_account();
-        oracle_chain.mint(whale, t(0), to_raw(1_000.0));
-        let oracle_scratch = Scratch::new("panic-oracle");
+        let whale = funded_whale(&mut oracle_chain);
+        let oracle_dir = TestDir::new("panic-oracle");
         let mut oracle = IngestBot::attach(
             &mut oracle_chain,
             &paper_feed(),
             BotConfig::default(),
-            settings(&oracle_scratch),
+            settings(&oracle_dir),
             IngestConfig::default(),
         )
         .unwrap();
@@ -363,15 +283,14 @@ mod tests {
         });
 
         // Supervised run: identical market, one injected mid-tick panic.
-        let scratch = Scratch::new("panic");
+        let dir = TestDir::new("panic");
         let mut chain = paper_chain();
-        let whale = chain.create_account();
-        chain.mint(whale, t(0), to_raw(1_000.0));
+        let whale = funded_whale(&mut chain);
         let mut bot = SupervisedBot::attach(
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
-            settings(&scratch),
+            settings(&dir),
             IngestConfig::default(),
             4,
         )
@@ -399,7 +318,7 @@ mod tests {
         );
         assert_eq!(chain.state().digest(), oracle_chain.state().digest());
         assert!(
-            scratch.0.join(arb_obs::FLIGHT_DUMP_FILE).is_file(),
+            dir.path().join(arb_obs::FLIGHT_DUMP_FILE).is_file(),
             "recovery leaves the flight-recorder dump next to the journal"
         );
         let snapshot = bot.bot().obs().expect("obs re-enabled").snapshot();
@@ -408,15 +327,14 @@ mod tests {
 
     #[test]
     fn recovery_budget_exhaustion_surfaces_as_a_typed_error() {
-        let scratch = Scratch::new("budget");
+        let dir = TestDir::new("budget");
         let mut chain = paper_chain();
-        let whale = chain.create_account();
-        chain.mint(whale, t(0), to_raw(1_000.0));
+        let whale = funded_whale(&mut chain);
         let mut bot = SupervisedBot::attach(
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
-            settings(&scratch),
+            settings(&dir),
             IngestConfig::default(),
             0, // no budget: the first panic must surface
         )

@@ -1,7 +1,6 @@
 //! The chain: mempool, gas-limited blocks, receipts, digests.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use arb_amm::fee::FeeRate;
 use arb_amm::pool::PoolId;
@@ -84,25 +83,6 @@ impl EventCursor {
     }
 }
 
-/// A durable destination for chain events, fed as they are appended to
-/// the in-memory [`EventLog`]. `arb-journal`'s `JournalWriter` is the
-/// canonical implementation; [`EventSink::record`] is called once per
-/// event and [`EventSink::commit`] once per batch boundary (end of a
-/// mined block, or a genesis-style operation), which is where a durable
-/// sink should flush and fsync.
-pub trait EventSink: std::fmt::Debug + Send {
-    /// Records one event. Called in log order, before `commit`.
-    fn record(&mut self, event: &Event);
-
-    /// Marks a batch boundary: everything recorded so far should be made
-    /// durable. The default does nothing (an in-memory sink needs no
-    /// flushing).
-    fn commit(&mut self) {}
-}
-
-/// A shared, lockable event sink handle ([`Chain::attach_sink`]).
-pub type SharedEventSink = Arc<Mutex<dyn EventSink>>;
-
 /// The simulated chain: state + mempool + history.
 #[derive(Debug, Clone, Default)]
 pub struct Chain {
@@ -111,10 +91,6 @@ pub struct Chain {
     blocks: Vec<Block>,
     log: EventLog,
     config: BlockConfig,
-    /// Optional durable event sink, mirroring every appended event.
-    /// Shared (`Arc`) so the attaching side keeps a handle for
-    /// checkpointing; cloning the chain shares the sink.
-    sink: Option<SharedEventSink>,
 }
 
 impl Chain {
@@ -160,41 +136,6 @@ impl Chain {
         }
     }
 
-    /// Attaches a durable event sink: every event appended to the log
-    /// from now on is also [`EventSink::record`]ed, with a
-    /// [`EventSink::commit`] at each batch boundary. Replaces any
-    /// previously attached sink. The sink sees only *new* events — a
-    /// journaling consumer backfills history via [`EventLog::get`] before
-    /// attaching.
-    pub fn attach_sink(&mut self, sink: SharedEventSink) {
-        self.sink = Some(sink);
-    }
-
-    /// Detaches the current sink, if any, returning it.
-    pub fn detach_sink(&mut self) -> Option<SharedEventSink> {
-        self.sink.take()
-    }
-
-    /// Whether a sink is currently attached.
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Appends an event to the log and mirrors it to the sink.
-    fn emit(&mut self, event: Event) {
-        self.log.push(event);
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("event sink poisoned").record(&event);
-        }
-    }
-
-    /// Signals a batch boundary to the sink (no-op without one).
-    fn commit_sink(&self) {
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("event sink poisoned").commit();
-        }
-    }
-
     /// Decodes and returns every event the cursor has not yet seen,
     /// advancing it to the end of the log. Streaming consumers call this
     /// once per block (or batch of blocks) and apply the deltas.
@@ -227,7 +168,7 @@ impl Chain {
         let pool = self
             .state
             .add_pool(token_a, token_b, reserve_a, reserve_b, fee)?;
-        self.emit(Event::PoolCreated {
+        self.log.push(Event::PoolCreated {
             pool,
             token_a,
             token_b,
@@ -235,7 +176,6 @@ impl Chain {
             reserve_b,
             fee,
         });
-        self.commit_sink();
         Ok(pool)
     }
 
@@ -270,7 +210,7 @@ impl Chain {
             match executor::execute(&mut self.state, &tx) {
                 Ok(events) => {
                     for e in &events {
-                        self.emit(*e);
+                        self.log.push(*e);
                     }
                     receipts.push(Receipt {
                         index,
@@ -290,7 +230,6 @@ impl Chain {
             }
             gas_used += gas;
         }
-        self.commit_sink();
         let block = Block {
             height: self.blocks.len() as u64 + 1,
             receipts,
@@ -462,66 +401,6 @@ mod tests {
         assert_eq!(all.len(), 3);
         assert!(matches!(all[0], Event::PoolCreated { .. }));
         assert_eq!(replay.position(), chain.event_log().len());
-    }
-
-    /// A sink that copies every recorded event and counts batch commits.
-    #[derive(Debug, Default)]
-    struct RecordingSink {
-        events: Vec<Event>,
-        commits: usize,
-    }
-
-    impl EventSink for RecordingSink {
-        fn record(&mut self, event: &Event) {
-            self.events.push(*event);
-        }
-
-        fn commit(&mut self) {
-            self.commits += 1;
-        }
-    }
-
-    #[test]
-    fn attached_sink_mirrors_log_with_batch_commits() {
-        let mut chain = Chain::new();
-        let sink = Arc::new(Mutex::new(RecordingSink::default()));
-        chain.attach_sink(sink.clone());
-        assert!(chain.has_sink());
-
-        let pool = chain
-            .add_pool(
-                t(0),
-                t(1),
-                to_raw(1_000.0),
-                to_raw(1_000.0),
-                FeeRate::UNISWAP_V2,
-            )
-            .unwrap();
-        let alice = chain.create_account();
-        chain.mint(alice, t(0), to_raw(10.0));
-        chain.submit(Transaction::Swap {
-            account: alice,
-            pool,
-            token_in: t(0),
-            amount_in: to_raw(1.0),
-            min_out: 0,
-        });
-        chain.mine_block();
-
-        let recorded = sink.lock().unwrap();
-        assert_eq!(recorded.events, chain.event_log().decode_all());
-        // One commit per add_pool, one per mined block.
-        assert_eq!(recorded.commits, 2);
-        drop(recorded);
-
-        // Detach: later events reach only the in-memory log.
-        assert!(chain.detach_sink().is_some());
-        assert!(!chain.has_sink());
-        chain.mine_block();
-        chain
-            .add_pool(t(1), t(2), to_raw(5.0), to_raw(5.0), FeeRate::UNISWAP_V2)
-            .unwrap();
-        assert!(sink.lock().unwrap().events.len() < chain.event_log().len());
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod state;
 pub mod tx;
 pub mod units;
 
-pub use chain::{Block, Chain, EventCursor, EventSink, Receipt, SharedEventSink};
+pub use chain::{Block, Chain, EventCursor, Receipt};
 pub use error::TxError;
 pub use events::Event;
 pub use state::{AccountId, ChainState, OnChainPool};

@@ -18,8 +18,7 @@
 //! * [`JournalWriter`] — append-only segmented log of
 //!   [`arb_dexsim::events::Event`]s reusing the chain's own binary codec,
 //!   with length-prefixed CRC-32-checksummed records, one fsync per
-//!   batch, and corruption-tolerant tail recovery on reopen. Implements
-//!   [`arb_dexsim::chain::EventSink`], so a chain journals itself.
+//!   batch, and corruption-tolerant tail recovery on reopen.
 //! * [`JournalReader`] / [`JournalCursor`] — offset-addressed reads
 //!   mirroring the chain's `EventCursor` API.
 //! * [`SnapshotStore`] — atomic, checksummed persistence of
@@ -28,7 +27,8 @@
 //!   to its predecessor) and pruning; pair with
 //!   [`JournalWriter::compact_below`] to drop fully-snapshotted segments.
 //! * [`Recovery`] — restores the newest valid snapshot, replays the
-//!   suffix through the engine, and reports a [`RecoveryStats`] line.
+//!   suffix through the engine (price moves journaled inline update the
+//!   recovered price table), and reports a [`RecoveryStats`] line.
 //!
 //! Because engine evaluation is a pure function of (reserves, feed), the
 //! recovered standing ranking is **bit-identical** to an uninterrupted
@@ -78,7 +78,8 @@
 //! // New process: restore + replay = the same ranking, bit for bit.
 //! let mut recovered = Recovery::new(&dir, OpportunityPipeline::default(), 2)
 //!     .with_genesis_pools(pools)
-//!     .recover(&feed)?;
+//!     .with_genesis_feed(feed.clone())
+//!     .recover_journaled()?;
 //! println!("{}", recovered.stats); // "recovered from snapshot@1, …"
 //! let restored = recovered.runtime.refresh(&feed)?;
 //! assert_eq!(restored.opportunities.len(), live.opportunities.len());
@@ -100,6 +101,6 @@ pub mod writer;
 pub use error::JournalError;
 pub use io::{IoShim, WriteVerdict};
 pub use reader::{JournalCursor, JournalReader};
-pub use recovery::{Recovered, RecoveredStream, Recovery, RecoveryStats};
+pub use recovery::{RecoveredStream, Recovery, RecoveryStats};
 pub use snapshot::SnapshotStore;
 pub use writer::{JournalConfig, JournalWriter};

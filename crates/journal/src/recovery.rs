@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use arb_amm::pool::Pool;
 use arb_amm::token::TokenId;
-use arb_cex::feed::{PriceFeed, PriceTable};
+use arb_cex::feed::PriceTable;
 use arb_dexsim::events::Event;
 use arb_dexsim::units::to_display;
 use arb_engine::{OpportunityPipeline, ShardedRuntime};
@@ -81,38 +81,11 @@ impl fmt::Display for RecoveryStats {
     }
 }
 
-/// The result of a successful recovery: a runtime brought current to the
-/// journal's durable tail, plus the stats describing how it got there.
-#[derive(Debug)]
-pub struct Recovered {
-    /// The restored fleet, standing set refreshed under the recovery
-    /// feed — ranked output is bit-identical to a process that never
-    /// crashed (given the same feed).
-    pub runtime: ShardedRuntime,
-    /// What the recovery did.
-    pub stats: RecoveryStats,
-}
-
-/// The recovery driver: restores the newest valid snapshot from a
-/// journal directory and replays the journal suffix through the engine.
-///
-/// Selection rules (each step falls back to the next):
-///
-/// 1. the newest snapshot that validates (magic/version/CRC) **and**
-///    whose offset is at or below the journal's durable tail;
-/// 2. any older snapshot meeting the same conditions;
-/// 3. genesis: an engine built from the configured genesis pools (or,
-///    when none are given, from the journal's leading `PoolCreated`
-///    prefix) with the entire journal replayed.
-///
-/// Replay applies the suffix as one batch and refreshes under the
-/// caller's feed, so the recovered standing ranking is bit-identical to
-/// an uninterrupted engine at the same (state, feed) point — evaluation
-/// is a pure function of reserves and prices.
-/// The result of a [`Recovery::recover_journaled`] run over a journal
-/// whose stream carries [`Event::FeedPrice`] updates inline (the
-/// `arb-ingest` multiplexed stream): the fleet **and** the price table,
-/// both reconstructed from disk alone — no live feed required.
+/// The result of a [`Recovery::recover_journaled`] run: the fleet **and**
+/// the price table, both brought to the journal's durable tail. Over a
+/// journal whose stream carries [`Event::FeedPrice`] updates inline (the
+/// `arb-ingest` multiplexed stream) both come from disk alone — no live
+/// feed required.
 #[derive(Debug)]
 pub struct RecoveredStream {
     /// The restored fleet, refreshed under the recovered feed.
@@ -137,6 +110,26 @@ pub struct RecoveredStream {
     pub stats: RecoveryStats,
 }
 
+/// The recovery driver: restores the newest valid snapshot from a
+/// journal directory and replays the journal suffix through the engine.
+///
+/// Selection rules (each step falls back to the next):
+///
+/// 1. the newest snapshot that validates (magic/version/CRC) **and**
+///    whose offset is at or below the journal's durable tail;
+/// 2. any older snapshot meeting the same conditions;
+/// 3. genesis: an engine built from the configured genesis pools (or,
+///    when none are given, from the journal's leading `PoolCreated`
+///    prefix) with the entire journal replayed.
+///
+/// Replay applies the suffix as one batch and refreshes under the price
+/// table rebuilt from the genesis feed, the snapshot's feed section and
+/// every replayed `FeedPrice`, so the recovered standing ranking is
+/// bit-identical to an uninterrupted engine at the same (state, feed)
+/// point — evaluation is a pure function of reserves and prices. A
+/// journal that carries no prices of its own (chain events only) is
+/// recovered under the caller's prices by passing them to
+/// [`Recovery::with_genesis_feed`].
 #[derive(Debug, Clone)]
 pub struct Recovery {
     dir: PathBuf,
@@ -173,74 +166,20 @@ impl Recovery {
     /// Sets the price-table base for [`Recovery::recover_journaled`] —
     /// the prices that were known before the journal's first event. A
     /// journal whose stream carries the full initial feed as a leading
-    /// `FeedPrice` prefix (the `arb-ingest` attach path) needs none.
+    /// `FeedPrice` prefix (the `arb-ingest` attach path) needs none; a
+    /// chain-only journal gets all of its prices from here.
     #[must_use]
     pub fn with_genesis_feed(mut self, feed: PriceTable) -> Self {
         self.genesis_feed = feed;
         self
     }
 
-    /// Runs the recovery: restore, replay, refresh under `feed`.
-    ///
-    /// # Errors
-    ///
-    /// * [`JournalError::Io`] / [`JournalError::Corrupt`] — the journal
-    ///   itself cannot be read (tail corruption is healed by truncation,
-    ///   not reported).
-    /// * [`JournalError::NoBootstrap`] — no usable snapshot, no genesis
-    ///   pools, and no leading `PoolCreated` prefix to build from.
-    /// * [`JournalError::Engine`] — restore or replay failed in the
-    ///   engine.
-    pub fn recover<F: PriceFeed + Sync>(&self, feed: &F) -> Result<Recovered, JournalError> {
-        let start = Instant::now();
-        let reader = JournalReader::open(&self.dir)?;
-        let tail = reader.tail_offset();
-        let store = SnapshotStore::new(&self.dir)?;
-
-        let (mut runtime, snapshot_offset, events) =
-            match store.newest_valid(reader.base_offset(), tail)? {
-                Some((offset, checkpoint)) => {
-                    let runtime = ShardedRuntime::restore(self.pipeline.clone(), &checkpoint)?;
-                    (runtime, Some(offset), reader.read_from(offset)?)
-                }
-                None => {
-                    if reader.base_offset() > 0 {
-                        // Compaction removed the genesis prefix, which is only
-                        // sound while a snapshot covers it — with every
-                        // snapshot unusable, a partial replay would produce
-                        // silently wrong state.
-                        return Err(JournalError::NoBootstrap(
-                            "no usable snapshot and the journal's genesis prefix \
-                         was compacted away",
-                        ));
-                    }
-                    let events = reader.read_from(0)?;
-                    let (runtime, events) = self.bootstrap_genesis(events)?;
-                    (runtime, None, events)
-                }
-            };
-
-        let events_replayed = events.len();
-        runtime.apply_events(&events, feed)?;
-        Ok(Recovered {
-            runtime,
-            stats: RecoveryStats {
-                snapshot_offset,
-                events_replayed,
-                journal_tail: tail,
-                wall: start.elapsed(),
-            },
-        })
-    }
-
-    /// Runs a **self-contained** recovery over a journal whose stream
-    /// carries [`Event::FeedPrice`] updates inline (the `arb-ingest`
-    /// multiplexed stream): restore the newest valid snapshot (including
-    /// its feed section), replay the suffix with feed updates routed to
-    /// the price table and chain events to the fleet, and refresh under
-    /// the reconstructed table. No live feed is needed — the journal and
-    /// snapshots alone reproduce the decisions, closing the gap where
-    /// [`Recovery::recover`] required the caller to supply prices.
+    /// Runs the recovery: restore the newest valid snapshot (including
+    /// its feed section), replay the suffix with [`Event::FeedPrice`]
+    /// updates routed to the price table and chain events to the fleet,
+    /// and refresh under the reconstructed table. Over the `arb-ingest`
+    /// multiplexed stream no live feed is needed — the journal and
+    /// snapshots alone reproduce the decisions.
     ///
     /// Applying all replayed feed updates before the single batch
     /// refresh is sound for the same reason suffix batching is: the
@@ -249,10 +188,15 @@ impl Recovery {
     ///
     /// # Errors
     ///
-    /// As [`Recovery::recover`]; the genesis fallback additionally
-    /// accepts `FeedPrice` events interleaved with the leading
-    /// `PoolCreated` prefix (the ingest attach path journals the
-    /// initial feed first).
+    /// * [`JournalError::Io`] / [`JournalError::Corrupt`] — the journal
+    ///   itself cannot be read (tail corruption is healed by truncation,
+    ///   not reported).
+    /// * [`JournalError::NoBootstrap`] — no usable snapshot, no genesis
+    ///   pools, and no leading `PoolCreated` prefix to build from
+    ///   (`FeedPrice` events interleaved with that prefix are fine: the
+    ///   ingest attach path journals the initial feed first).
+    /// * [`JournalError::Engine`] — restore or replay failed in the
+    ///   engine.
     pub fn recover_journaled(&self) -> Result<RecoveredStream, JournalError> {
         let start = Instant::now();
         let reader = JournalReader::open(&self.dir)?;
@@ -276,6 +220,10 @@ impl Recovery {
                 }
                 None => {
                     if reader.base_offset() > 0 {
+                        // Compaction removed the genesis prefix, which is only
+                        // sound while a snapshot covers it — with every
+                        // snapshot unusable, a partial replay would produce
+                        // silently wrong state.
                         return Err(JournalError::NoBootstrap(
                             "no usable snapshot and the journal's genesis prefix \
                              was compacted away",

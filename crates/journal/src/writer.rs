@@ -4,7 +4,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use arb_dexsim::chain::EventSink;
 use arb_dexsim::events::Event;
 
 use crate::io::{IoShim, WriteVerdict};
@@ -60,8 +59,9 @@ pub struct JournalWriter {
     pending_events: u64,
     /// Offset of the next record to become durable.
     committed: u64,
-    /// First commit failure, re-surfaced by the next `commit` call (the
-    /// [`EventSink`] path cannot propagate errors inline).
+    /// Rollback-poison error: set when a failed commit could not cut the
+    /// torn segment tail back, and returned by the next `commit` instead
+    /// of writing after the torn bytes.
     deferred: Option<io::Error>,
     /// Optional fault layer consulted on the commit path (chaos tests).
     shim: Option<Box<dyn IoShim>>,
@@ -194,8 +194,9 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`io::Error`] on write/sync failures — including one
-    /// deferred from an earlier [`EventSink`]-path commit.
+    /// Returns [`io::Error`] on write/sync failures — including the
+    /// rollback-poison error left by an earlier commit whose torn tail
+    /// could not be cut back.
     pub fn commit(&mut self) -> io::Result<u64> {
         if let Some(deferred) = self.deferred.take() {
             return Err(deferred);
@@ -300,24 +301,6 @@ impl JournalWriter {
         self.segment_first = self.committed;
         self.segment_bytes = 0;
         Ok(())
-    }
-}
-
-/// Durable sink wiring: `record` frames the event, `commit` flushes the
-/// batch. A commit failure is deferred and surfaced by the next inherent
-/// [`JournalWriter::commit`] call, since the sink trait cannot return
-/// errors inline.
-impl EventSink for JournalWriter {
-    fn record(&mut self, event: &Event) {
-        self.append(event);
-    }
-
-    fn commit(&mut self) {
-        if let Err(error) = JournalWriter::commit(self) {
-            if self.deferred.is_none() {
-                self.deferred = Some(error);
-            }
-        }
     }
 }
 

@@ -163,7 +163,8 @@ fn torn_tail_at_every_byte_offset_heals_and_recovers_to_the_oracle() {
     write_events(oracle_scratch.path(), &ticks);
     let recovered = Recovery::new(oracle_scratch.path(), OpportunityPipeline::default(), 2)
         .with_genesis_pools(pools.clone())
-        .recover(&feed)
+        .with_genesis_feed(feed.clone())
+        .recover_journaled()
         .unwrap();
     let mut oracle_runtime = recovered.runtime;
     let oracle_report = oracle_runtime.refresh(&feed).unwrap();
@@ -208,7 +209,8 @@ fn torn_tail_at_every_byte_offset_heals_and_recovers_to_the_oracle() {
         // …and recovery reaches the never-crashed oracle, bit for bit.
         let recovered = Recovery::new(scratch.path(), OpportunityPipeline::default(), 2)
             .with_genesis_pools(pools.clone())
-            .recover(&feed)
+            .with_genesis_feed(feed.clone())
+            .recover_journaled()
             .unwrap();
         assert_eq!(recovered.stats.events_replayed, 4, "cut at byte {cut}");
         let mut runtime = recovered.runtime;
@@ -266,7 +268,8 @@ fn snapshot_past_the_tail_falls_back_to_the_previous_one() {
     store.write(99, &runtime.checkpoint()).unwrap();
     let recovered = Recovery::new(scratch.path(), OpportunityPipeline::default(), 2)
         .with_genesis_pools(pools.clone())
-        .recover(&feed)
+        .with_genesis_feed(feed.clone())
+        .recover_journaled()
         .unwrap();
     assert_eq!(recovered.stats.snapshot_offset, Some(2));
     assert_eq!(recovered.stats.events_replayed, 0);
@@ -282,7 +285,8 @@ fn snapshot_past_the_tail_falls_back_to_the_previous_one() {
     .unwrap();
     let recovered = Recovery::new(scratch.path(), OpportunityPipeline::default(), 2)
         .with_genesis_pools(pools.clone())
-        .recover(&feed)
+        .with_genesis_feed(feed.clone())
+        .recover_journaled()
         .unwrap();
     assert_eq!(recovered.stats.snapshot_offset, Some(1));
     assert_eq!(recovered.stats.events_replayed, 1, "replays tick 2");
@@ -304,7 +308,8 @@ fn snapshot_past_the_tail_falls_back_to_the_previous_one() {
     }
     let recovered = Recovery::new(scratch.path(), OpportunityPipeline::default(), 2)
         .with_genesis_pools(pools)
-        .recover(&feed)
+        .with_genesis_feed(feed.clone())
+        .recover_journaled()
         .unwrap();
     assert_eq!(recovered.stats.snapshot_offset, None);
     assert_eq!(recovered.stats.events_replayed, 2);

@@ -77,8 +77,8 @@ pub mod prelude {
     };
     pub use arb_bot::{
         sim::{MarketSim, MarketSimConfig},
-        ArbBot, BotConfig, IngestBot, JournalSettings, JournaledBot, ObsConfig, ScanMode,
-        StrategyChoice, SupervisedBot,
+        ArbBot, BotConfig, IngestBot, JournalSettings, ObsConfig, ScanMode, StrategyChoice,
+        SupervisedBot,
     };
     pub use arb_cex::feed::{PriceFeed, PriceTable};
     pub use arb_chaos::{
@@ -115,7 +115,7 @@ pub mod prelude {
     };
     pub use arb_journal::{
         IoShim, JournalConfig, JournalCursor, JournalError, JournalReader, JournalWriter,
-        Recovered, RecoveredStream, Recovery, RecoveryStats, SnapshotStore, WriteVerdict,
+        RecoveredStream, Recovery, RecoveryStats, SnapshotStore, WriteVerdict,
     };
     pub use arb_obs::{FlightRecorder, Obs, ObsOptions, Registry, RegistrySnapshot};
     pub use arb_serve::{

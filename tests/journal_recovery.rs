@@ -133,7 +133,8 @@ fn crash_and_recover(workload: &'static str, seed: u64) {
     // --- recovery ------------------------------------------------------
     let recovered = Recovery::new(&scratch.0, pipeline(), 4)
         .with_genesis_pools(scenario.pools.clone())
-        .recover(&feed)
+        .with_genesis_feed(feed.clone())
+        .recover_journaled()
         .unwrap();
     let stats = recovered.stats;
     assert_eq!(stats.journal_tail, kill as u64, "{workload}");

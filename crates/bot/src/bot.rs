@@ -1,23 +1,28 @@
-//! The per-block scan → evaluate → execute policy, driven by the engine.
+//! The bot's one step loop: stage the block's feed moves and chain
+//! events, seal them, apply the sealed block to the sharded runtime,
+//! rank, and execute the best plan atomically.
 
 use std::sync::Arc;
 
-use arb_cex::feed::PriceFeed;
+use arb_amm::token::TokenId;
+use arb_cex::feed::PriceTable;
 use arb_core::monetize::Usd;
 use arb_core::{ConvexOptimization, MaxMax};
 use arb_dexsim::chain::{Chain, EventCursor};
 use arb_dexsim::state::AccountId;
 use arb_engine::{
-    ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, RuntimeStats, ScreenTotals,
-    ShardLoads, ShardedRuntime, SharedStrategy, StreamStats, StreamingEngine,
+    ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, ShardedRuntime, SharedStrategy,
+    TickHook,
 };
+use arb_ingest::{IngestConfig, IngestDriver, IngestStats, Ingestor, SourceId};
 use arb_serve::{
     ClientClass, GovernorConfig, GovernorStats, PublishStats, Publisher, ServeHandle, Subscription,
 };
 
-use crate::config::{BotConfig, ScanMode, StrategyChoice};
+use crate::config::{BotConfig, StrategyChoice};
 use crate::error::BotError;
 use crate::execution;
+use crate::ingest_bot::Journal;
 use crate::obs::{BotObs, ExportSink, ObsConfig};
 use crate::scanner;
 
@@ -45,6 +50,14 @@ pub fn pipeline_for(config: &BotConfig) -> OpportunityPipeline {
     .with_strategies(vec![strategy])
 }
 
+/// A price table as feed moves, sorted by token so the staged (and
+/// journaled) order is deterministic.
+pub(crate) fn sorted_prices(feed: &PriceTable) -> Vec<(TokenId, f64)> {
+    let mut prices: Vec<(TokenId, f64)> = feed.iter().collect();
+    prices.sort_unstable_by_key(|(token, _)| token.index());
+    prices
+}
+
 /// What the bot decided to do this block.
 #[derive(Debug, Clone)]
 pub enum BotAction {
@@ -59,52 +72,92 @@ pub enum BotAction {
     },
 }
 
-/// The bot's live streaming view: an incremental engine plus its
-/// position in the chain's event log.
+/// The bot's market view: the ingest front-end with one source for the
+/// CEX feed and one for the chain, the driver that applies each sealed
+/// block to the sharded runtime, and the bot's position in the chain's
+/// event log.
 #[derive(Debug)]
-struct StreamState {
-    engine: StreamingEngine,
-    cursor: EventCursor,
+pub(crate) struct MarketView {
+    pub(crate) ingestor: Ingestor,
+    pub(crate) driver: IngestDriver,
+    feed_source: SourceId,
+    chain_source: SourceId,
+    pub(crate) cursor: EventCursor,
 }
 
-/// The bot's sharded view: a multi-engine runtime plus its position in
-/// the chain's event log.
-#[derive(Debug)]
-struct ShardedState {
-    runtime: ShardedRuntime,
-    cursor: EventCursor,
-}
-
-/// The arbitrage bot: owns an account, a configuration, and the engine
-/// pipeline built from it. In [`ScanMode::Streaming`] it also owns a
-/// [`StreamingEngine`] kept in sync with the chain's event stream.
-#[derive(Debug)]
-pub struct ArbBot {
-    account: AccountId,
-    config: BotConfig,
-    pipeline: OpportunityPipeline,
-    stream: Option<StreamState>,
-    sharded: Option<ShardedState>,
-    serving: Option<Publisher>,
-    obs: Option<BotObs>,
-}
-
-impl Clone for ArbBot {
-    fn clone(&self) -> Self {
-        // The pipeline is a pure function of the config; rebuild it. The
-        // streaming view re-synchronizes lazily on the clone's first
-        // step. The serving side-car and observability are not cloned —
-        // readers attach to one publisher, and a clone must opt back in.
-        ArbBot {
-            account: self.account,
-            config: self.config,
-            pipeline: pipeline_for(&self.config),
-            stream: None,
-            sharded: None,
-            serving: None,
-            obs: None,
+impl MarketView {
+    /// Registers the feed source ahead of the chain source (a block's
+    /// feed moves apply before its events) around an already-current
+    /// runtime and price table.
+    pub(crate) fn new(
+        mut ingestor: Ingestor,
+        runtime: ShardedRuntime,
+        feed: PriceTable,
+        cursor: EventCursor,
+    ) -> Self {
+        let feed_source = ingestor.register_source("cex-feed");
+        let chain_source = ingestor.register_source("dexsim");
+        let driver = IngestDriver::new(runtime, feed, ingestor.handle());
+        MarketView {
+            ingestor,
+            driver,
+            feed_source,
+            chain_source,
+            cursor,
         }
     }
+
+    /// A view over the chain's *current* pool set, subscribed at the
+    /// current end of its event log: state now + every event after now.
+    /// Degenerate pools enter as retired slots (keeping `PoolId`s
+    /// chain-aligned) and revive through their next valid `Sync`.
+    pub(crate) fn from_chain(
+        chain: &Chain,
+        feed: PriceTable,
+        config: &BotConfig,
+        ingestor: Ingestor,
+    ) -> Result<Self, BotError> {
+        let graph = scanner::graph_from_chain(chain)?;
+        let runtime = ShardedRuntime::with_graph(pipeline_for(config), graph, config.shards)?;
+        Ok(MarketView::new(ingestor, runtime, feed, chain.subscribe()))
+    }
+
+    /// Stages one block's feed moves and chain events and seals them
+    /// into one batch (journaled first when a journal is attached).
+    pub(crate) fn seal(
+        &mut self,
+        feed_moves: &[(TokenId, f64)],
+        events: Vec<arb_dexsim::events::Event>,
+    ) -> Result<(), BotError> {
+        self.ingestor
+            .offer_feed_moves(self.feed_source, feed_moves)?;
+        self.ingestor.offer(self.chain_source, events)?;
+        self.ingestor.seal_block()?;
+        Ok(())
+    }
+}
+
+/// The arbitrage bot: an account, a configuration, and one ingest-fed
+/// market view (`Ingestor → IngestDriver → ShardedRuntime`) it advances
+/// and acts on every block. Durability is chosen by the constructor:
+/// [`ArbBot::new`] runs without a journal, [`ArbBot::attach`] and
+/// [`ArbBot::recover`] journal every sealed block and checkpoint the
+/// fleet (see [`crate::ingest_bot`]).
+#[derive(Debug)]
+pub struct ArbBot {
+    pub(crate) account: AccountId,
+    pub(crate) config: BotConfig,
+    pub(crate) ingest: IngestConfig,
+    pub(crate) view: MarketView,
+    pub(crate) journal: Option<Journal>,
+    /// Set when a runtime error left a journal-less view behind the
+    /// chain; the next step rebuilds it from chain state.
+    stale: bool,
+    serving: Option<Publisher>,
+    obs: Option<BotObs>,
+    /// Remembered so a rebuild from the journal re-instruments itself.
+    obs_config: Option<ObsConfig>,
+    tick_hook: Option<Arc<dyn TickHook>>,
 }
 
 /// One-line serving telemetry: publish + admission counters.
@@ -133,16 +186,43 @@ impl std::fmt::Display for ServeTelemetry {
 }
 
 impl ArbBot {
-    /// Registers a bot account on the chain.
-    pub fn new(chain: &mut Chain, config: BotConfig) -> Self {
-        ArbBot {
-            account: chain.create_account(),
-            pipeline: pipeline_for(&config),
+    /// Starts a bot without a journal on a live chain: registers its
+    /// account and builds the market view from current chain state and
+    /// `feed`. Later steps pass only the feed's moves.
+    ///
+    /// # Errors
+    ///
+    /// Forwards graph / engine construction failures.
+    pub fn new(chain: &mut Chain, feed: &PriceTable, config: BotConfig) -> Result<Self, BotError> {
+        let ingest = IngestConfig::default();
+        let view = MarketView::from_chain(chain, feed.clone(), &config, Ingestor::new(ingest))?;
+        Ok(ArbBot::assemble(
+            chain.create_account(),
             config,
-            stream: None,
-            sharded: None,
+            ingest,
+            view,
+            None,
+        ))
+    }
+
+    pub(crate) fn assemble(
+        account: AccountId,
+        config: BotConfig,
+        ingest: IngestConfig,
+        view: MarketView,
+        journal: Option<Journal>,
+    ) -> Self {
+        ArbBot {
+            account,
+            config,
+            ingest,
+            view,
+            journal,
+            stale: false,
             serving: None,
             obs: None,
+            obs_config: None,
+            tick_hook: None,
         }
     }
 
@@ -160,26 +240,37 @@ impl ArbBot {
         }
     }
 
-    /// Turns on observability: one registry + flight recorder shared by
-    /// every layer the bot owns. The live market view (streaming engine
-    /// or sharded runtime) and the serving publisher are wired
-    /// immediately if present, and lazily as they are (re)built; each
-    /// step records `bot.step_ns` and the step counters. Idempotent.
-    pub fn enable_observability(&mut self, config: ObsConfig) {
+    /// Turns on observability: one registry + flight recorder wired
+    /// through every layer the bot owns — ingest sealing
+    /// (`ingest.seal_ns` → `queue_ns` spans), the apply side
+    /// (`ingest.apply_ns`, `ingest.e2e_ns`, per-batch `ingest.tick`
+    /// flight marks), the sharded runtime (`runtime.*`, `engine.*`),
+    /// the serving publisher, and the bot's own `bot.step_ns` and step
+    /// counters. A journaled bot defaults
+    /// [`ObsConfig::panic_dump_dir`] to its journal directory, next to
+    /// the journal a post-mortem will replay, and reports the recovery
+    /// that built it under `journal.*`. The config is remembered, so a
+    /// rebuild from the journal re-instruments itself. Idempotent.
+    pub fn enable_observability(&mut self, mut config: ObsConfig) {
         if self.obs.is_some() {
             return;
         }
-        let bot_obs = BotObs::new(&config);
-        if let Some(state) = &mut self.stream {
-            state.engine.set_obs(bot_obs.obs());
+        if let Some(journal) = &self.journal {
+            config
+                .panic_dump_dir
+                .get_or_insert_with(|| journal.settings.dir.clone());
         }
-        if let Some(state) = &mut self.sharded {
-            state.runtime.set_obs(bot_obs.obs());
+        let bot_obs = BotObs::new(&config);
+        if let Some(recovery) = self.journal.as_ref().and_then(|j| j.recovery.as_ref()) {
+            recovery.record(bot_obs.obs());
         }
         if let Some(publisher) = &mut self.serving {
             publisher.set_obs(bot_obs.obs());
         }
+        self.view.ingestor.set_obs(bot_obs.obs());
+        self.view.driver.set_obs(bot_obs.obs());
         self.obs = Some(bot_obs);
+        self.obs_config = Some(config);
     }
 
     /// The shared observability handle (`None` until
@@ -202,6 +293,16 @@ impl ArbBot {
         if let Some(obs) = &mut self.obs {
             obs.set_sink(sink);
         }
+    }
+
+    /// Installs an [`arb_engine::TickHook`] on the sharded runtime — the
+    /// seam chaos tests use to inject slow ticks and mid-tick panics
+    /// into a live bot. The bot re-installs it whenever it rebuilds its
+    /// runtime.
+    pub fn set_tick_hook(&mut self, hook: Arc<dyn TickHook>) {
+        let runtime = self.view.driver.runtime_mut();
+        runtime.set_tick_hook(Arc::clone(&hook));
+        self.tick_hook = Some(hook);
     }
 
     /// A wait-free reader handle in `class` (`None` until
@@ -234,71 +335,51 @@ impl ArbBot {
         &self.config
     }
 
-    /// Streaming counters, once the event-driven view is live (`None` in
-    /// batch mode and before the first streaming step).
-    pub fn stream_stats(&self) -> Option<&StreamStats> {
-        self.stream.as_ref().map(|s| s.engine.stats())
+    /// The price table as of the last applied block.
+    pub fn feed(&self) -> &PriceTable {
+        self.view.driver.feed()
     }
 
-    /// Sharded-runtime counters, once the sharded view is live (`None`
-    /// outside [`ScanMode::Sharded`] and before the first sharded step).
-    pub fn runtime_stats(&self) -> Option<&RuntimeStats> {
-        self.sharded.as_ref().map(|s| s.runtime.stats())
+    /// Front-end counters (coalescing, queue depth, stalls).
+    pub fn ingest_stats(&self) -> IngestStats {
+        self.view.ingestor.stats()
     }
 
-    /// Realized shard count of the live sharded view, if any.
-    pub fn shard_count(&self) -> Option<usize> {
-        self.sharded.as_ref().map(|s| s.runtime.shard_count())
+    /// The apply-side driver (batch counters, seal-to-rank latency).
+    pub fn driver(&self) -> &IngestDriver {
+        &self.view.driver
     }
 
-    /// Cumulative screen-discharge totals of the live market view: the
-    /// sharded fleet's rebuild-surviving totals in [`ScanMode::Sharded`],
-    /// or the streaming engine's own counters in [`ScanMode::Streaming`],
-    /// in one [`ScreenTotals`] `Display` line. `None` in batch mode and
-    /// before the first step.
-    pub fn screen_totals(&self) -> Option<ScreenTotals> {
-        if let Some(state) = &self.sharded {
-            return Some(state.runtime.screen_totals());
-        }
-        self.stream.as_ref().map(|state| {
-            let mut totals = ScreenTotals::default();
-            totals.add_stats(state.engine.stats());
-            totals
-        })
+    /// The sharded runtime behind the ranking: its stats, screen totals
+    /// and shard loads.
+    pub fn runtime(&self) -> &ShardedRuntime {
+        self.view.driver.runtime()
     }
 
-    /// Per-shard load picture of the live sharded view — routed events in
-    /// the current observation window, cumulative evaluations, and the
-    /// rebalance count — as one [`ShardLoads`] `Display` line. `None`
-    /// outside [`ScanMode::Sharded`] and before the first sharded step.
-    pub fn shard_loads(&self) -> Option<ShardLoads> {
-        self.sharded.as_ref().map(|s| s.runtime.shard_loads())
-    }
-
-    /// One decision step: bring the market view current (incrementally in
-    /// [`ScanMode::Streaming`], by full rescan in [`ScanMode::Batch`]) and
-    /// submit a flash bundle for the best executable opportunity.
+    /// One decision step: stage this block's feed moves (absolute
+    /// prices) and the chain's new events, seal them into one block,
+    /// apply it, checkpoint if one is due, publish the ranking when
+    /// serving, and submit a flash bundle for the best executable
+    /// opportunity. The transaction is only *submitted*; the caller
+    /// mines the block.
     ///
-    /// The transaction is only *submitted*; the caller mines the block.
+    /// Without a journal, a runtime error serves the block from a full
+    /// [`scanner::discover`] rescan and rebuilds the view from chain
+    /// state on the next step.
     ///
     /// # Errors
     ///
-    /// Fails on discovery errors, not on unprofitable markets (those
-    /// yield [`BotAction::Idle`]).
-    pub fn step<F: PriceFeed + Sync>(
+    /// Fails on journal write errors, on runtime errors of a journaled
+    /// bot, and on bundle construction failures — not on unprofitable
+    /// markets ([`BotAction::Idle`]).
+    pub fn step(
         &mut self,
         chain: &mut Chain,
-        feed: &F,
+        feed_moves: &[(TokenId, f64)],
     ) -> Result<BotAction, BotError> {
         let step_timer = self.obs.as_ref().map(BotObs::step_timer);
         let step_span = step_timer.as_ref().map(arb_obs::SpanTimer::start);
-        let opportunities = match self.config.mode {
-            ScanMode::Batch => scanner::discover(chain, &self.pipeline, feed)?.opportunities,
-            ScanMode::Streaming => self.streaming_opportunities(chain, feed)?,
-            ScanMode::Sharded => self.sharded_opportunities(chain, feed)?,
-        };
-        self.publish(&opportunities);
-        let action = execution::submit_best(chain, self.account, &opportunities)?;
+        let action = self.step_inner(chain, feed_moves)?;
         drop(step_span);
         if let Some(obs) = &mut self.obs {
             obs.after_step(matches!(action, BotAction::Submitted { .. }));
@@ -306,21 +387,51 @@ impl ArbBot {
         Ok(action)
     }
 
+    fn step_inner(
+        &mut self,
+        chain: &mut Chain,
+        feed_moves: &[(TokenId, f64)],
+    ) -> Result<BotAction, BotError> {
+        if self.stale {
+            self.rebuild_from_chain(chain)?;
+        }
+        let events = chain.drain_events(&mut self.view.cursor);
+        let staged = feed_moves.len() + events.len();
+        self.view.seal(feed_moves, events)?;
+        let (opportunities, revision) = match self.view.driver.drain() {
+            Ok(report) => (
+                report.map_or_else(Vec::new, |report| report.opportunities),
+                Some(self.runtime().standing_revision()),
+            ),
+            Err(err) if self.journal.is_some() => return Err(err.into()),
+            Err(_) => {
+                self.stale = true;
+                let pipeline = pipeline_for(&self.config);
+                let report = scanner::discover(chain, &pipeline, self.view.driver.feed())?;
+                (report.opportunities, None)
+            }
+        };
+        if self
+            .journal
+            .as_mut()
+            .is_some_and(|journal| journal.checkpoint_due(staged))
+        {
+            self.checkpoint()?;
+        }
+        self.publish(revision, &opportunities);
+        execution::submit_best(chain, self.account, &opportunities)
+    }
+
     /// Publishes the ranking this step acted on, when serving is
-    /// enabled. Incremental views key the publish on their standing
-    /// revision so quiet steps skip; batch scans (including the desync
-    /// fallback, which drops the incremental view) have no revision to
-    /// anchor on and re-publish unconditionally.
-    fn publish(&mut self, opportunities: &[ArbitrageOpportunity]) {
+    /// enabled, keyed on the runtime's standing revision so quiet steps
+    /// skip. A rescanned block has no revision to anchor on: it
+    /// re-publishes unconditionally and re-anchors, since the rebuilt
+    /// runtime's revision restarts.
+    fn publish(&mut self, revision: Option<u64>, opportunities: &[ArbitrageOpportunity]) {
         let Some(publisher) = self.serving.as_mut() else {
             return;
         };
-        let source = match self.config.mode {
-            ScanMode::Sharded => self.sharded.as_ref().map(|s| s.runtime.standing_revision()),
-            ScanMode::Streaming => self.stream.as_ref().map(|s| s.engine.standing_revision()),
-            ScanMode::Batch => None,
-        };
-        match source {
+        match revision {
             Some(revision) => {
                 publisher.publish_if_changed(revision, opportunities);
             }
@@ -331,90 +442,58 @@ impl ArbBot {
         }
     }
 
-    /// The event-driven path: drain new chain events into the streaming
-    /// engine and return its standing ranking. The first step pays one
-    /// full build (cold start); a desynchronized stream is dropped and
-    /// the step falls back to a batch scan, re-synchronizing next step.
-    fn streaming_opportunities<F: PriceFeed>(
-        &mut self,
-        chain: &Chain,
-        feed: &F,
-    ) -> Result<Vec<ArbitrageOpportunity>, BotError> {
-        if self.stream.is_none() {
-            let mut state = self.build_stream(chain)?;
-            if let Some(obs) = &self.obs {
-                state.engine.set_obs(obs.obs());
-            }
-            self.stream = Some(state);
+    /// Replaces a journal-less view that fell behind the chain with one
+    /// built from current chain state, keeping the price table, and
+    /// re-wires observability and the tick hook into it.
+    fn rebuild_from_chain(&mut self, chain: &Chain) -> Result<(), BotError> {
+        let feed = self.view.driver.feed().clone();
+        self.view = MarketView::from_chain(chain, feed, &self.config, Ingestor::new(self.ingest))?;
+        if let Some(obs) = &self.obs {
+            self.view.ingestor.set_obs(obs.obs());
+            self.view.driver.set_obs(obs.obs());
         }
-        let state = self.stream.as_mut().expect("initialized above");
-        let events = chain.drain_events(&mut state.cursor);
-        match state.engine.apply_events(&events, feed) {
-            Ok(report) => Ok(report.opportunities),
-            Err(_) => {
-                // Fallback path: drop the stale view, serve this block
-                // from a full rescan, rebuild the stream next step.
-                self.stream = None;
-                Ok(scanner::discover(chain, &self.pipeline, feed)?.opportunities)
-            }
+        if let Some(hook) = &self.tick_hook {
+            let runtime = self.view.driver.runtime_mut();
+            runtime.set_tick_hook(Arc::clone(hook));
         }
+        self.stale = false;
+        Ok(())
     }
 
-    /// Builds a streaming engine over the chain's *current* pool set and
-    /// subscribes at the current end of the event log, so the pair stays
-    /// consistent: state now + every event after now. Degenerate pools
-    /// enter as retired slots (keeping `PoolId`s chain-aligned) and
-    /// revive through their next valid `Sync`.
-    fn build_stream(&self, chain: &Chain) -> Result<StreamState, BotError> {
-        let graph = scanner::graph_from_chain(chain)?;
-        let engine = StreamingEngine::with_graph(pipeline_for(&self.config), graph)
-            .map_err(BotError::from)?;
-        Ok(StreamState {
-            engine,
-            cursor: chain.subscribe(),
-        })
-    }
-
-    /// The sharded path: drain new chain events into the multi-engine
-    /// runtime and return the merged global ranking. Cold start and
-    /// desync fallback mirror [`ArbBot::streaming_opportunities`].
-    fn sharded_opportunities<F: PriceFeed + Sync>(
-        &mut self,
-        chain: &Chain,
-        feed: &F,
-    ) -> Result<Vec<ArbitrageOpportunity>, BotError> {
-        if self.sharded.is_none() {
-            let mut state = self.build_sharded(chain)?;
-            if let Some(obs) = &self.obs {
-                state.runtime.set_obs(obs.obs());
-            }
-            self.sharded = Some(state);
+    /// Rebuilds the bot after its runtime can no longer be trusted (a
+    /// panic mid-tick). A journaled bot is recovered from disk under
+    /// the same account, then re-applies its remembered observability
+    /// config (a fresh registry, and the panic hook now dumps the new
+    /// recorder), export sink, tick hook and publisher (re-anchored,
+    /// since the recovered runtime's revision restarts). A bot without
+    /// a journal rebuilds its view from chain state on the next step.
+    ///
+    /// # Errors
+    ///
+    /// Forwards recovery failures (see [`ArbBot::recover`]).
+    pub(crate) fn rebuild(&mut self, chain: &mut Chain) -> Result<(), BotError> {
+        let Some(journal) = &self.journal else {
+            self.stale = true;
+            return Ok(());
+        };
+        let settings = journal.settings.clone();
+        let mut fresh =
+            ArbBot::recover_as(chain, self.config, settings, self.ingest, self.account)?;
+        fresh.serving = self.serving.take();
+        if let Some(publisher) = &mut fresh.serving {
+            publisher.reanchor();
         }
-        let state = self.sharded.as_mut().expect("initialized above");
-        let events = chain.drain_events(&mut state.cursor);
-        match state.runtime.apply_events(&events, feed) {
-            Ok(report) => Ok(report.opportunities),
-            Err(_) => {
-                // Fallback path: drop the stale fleet, serve this block
-                // from a full rescan, rebuild the runtime next step.
-                self.sharded = None;
-                Ok(scanner::discover(chain, &self.pipeline, feed)?.opportunities)
-            }
+        if let Some(config) = self.obs_config.take() {
+            fresh.enable_observability(config);
         }
-    }
-
-    /// Builds the sharded runtime over the chain's current pool set (the
-    /// same slot-aligned graph the streaming engine mirrors) and
-    /// subscribes at the current end of the event log.
-    fn build_sharded(&self, chain: &Chain) -> Result<ShardedState, BotError> {
-        let graph = scanner::graph_from_chain(chain)?;
-        let runtime =
-            ShardedRuntime::with_graph(pipeline_for(&self.config), graph, self.config.shards)
-                .map_err(BotError::from)?;
-        Ok(ShardedState {
-            runtime,
-            cursor: chain.subscribe(),
-        })
+        if let Some(sink) = self.obs.take().and_then(BotObs::into_sink) {
+            fresh.set_obs_export(sink);
+        }
+        if let Some(hook) = self.tick_hook.take() {
+            fresh.set_tick_hook(hook);
+        }
+        *self = fresh;
+        Ok(())
     }
 }
 
@@ -423,15 +502,18 @@ mod tests {
     use super::*;
     use crate::testkit::{drive, funded_whale, paper_chain, paper_feed, t};
     use arb_amm::fee::FeeRate;
-    use arb_cex::feed::PriceTable;
     use arb_dexsim::tx::Transaction;
     use arb_dexsim::units::to_raw;
+
+    fn paper_bot(chain: &mut Chain, config: BotConfig) -> ArbBot {
+        ArbBot::new(chain, &paper_feed(), config).unwrap()
+    }
 
     #[test]
     fn maxmax_bot_extracts_paper_profit() {
         let mut chain = paper_chain();
-        let mut bot = ArbBot::new(&mut chain, BotConfig::default());
-        let action = bot.step(&mut chain, &paper_feed()).unwrap();
+        let mut bot = paper_bot(&mut chain, BotConfig::default());
+        let action = bot.step(&mut chain, &[]).unwrap();
         let BotAction::Submitted { expected, hops } = action else {
             panic!("expected a submission");
         };
@@ -447,14 +529,14 @@ mod tests {
     #[test]
     fn convex_bot_extracts_more() {
         let mut chain = paper_chain();
-        let mut bot = ArbBot::new(
+        let mut bot = paper_bot(
             &mut chain,
             BotConfig {
                 strategy: StrategyChoice::Convex,
                 ..BotConfig::default()
             },
         );
-        let action = bot.step(&mut chain, &paper_feed()).unwrap();
+        let action = bot.step(&mut chain, &[]).unwrap();
         let BotAction::Submitted { expected, .. } = action else {
             panic!("expected a submission");
         };
@@ -475,8 +557,8 @@ mod tests {
                 .add_pool(t(a), t(b), to_raw(1_000.0), to_raw(1_000.0), fee)
                 .unwrap();
         }
-        let mut bot = ArbBot::new(&mut chain, BotConfig::default());
-        let action = bot.step(&mut chain, &paper_feed()).unwrap();
+        let mut bot = paper_bot(&mut chain, BotConfig::default());
+        let action = bot.step(&mut chain, &[]).unwrap();
         assert!(matches!(action, BotAction::Idle));
         assert_eq!(chain.pending(), 0);
     }
@@ -484,56 +566,89 @@ mod tests {
     #[test]
     fn profit_floor_filters_small_opportunities() {
         let mut chain = paper_chain();
-        let mut bot = ArbBot::new(
+        let mut bot = paper_bot(
             &mut chain,
             BotConfig {
                 min_profit_usd: 1_000.0, // above the ~$206 available
                 ..BotConfig::default()
             },
         );
-        let action = bot.step(&mut chain, &paper_feed()).unwrap();
+        let action = bot.step(&mut chain, &[]).unwrap();
         assert!(matches!(action, BotAction::Idle));
     }
 
     #[test]
     fn unpriced_tokens_are_skipped() {
         let mut chain = paper_chain();
-        let mut bot = ArbBot::new(&mut chain, BotConfig::default());
-        let empty = PriceTable::new();
-        let action = bot.step(&mut chain, &empty).unwrap();
+        let mut bot = ArbBot::new(&mut chain, &PriceTable::new(), BotConfig::default()).unwrap();
+        let action = bot.step(&mut chain, &[]).unwrap();
         assert!(matches!(action, BotAction::Idle));
     }
 
     #[test]
-    fn streaming_and_batch_bots_make_identical_decisions() {
-        // Same chain, same feed, same seed of perturbations: the
-        // event-driven bot must submit exactly what the rescan bot does.
-        let run = |mode: ScanMode| {
-            let mut chain = paper_chain();
-            let mut bot = ArbBot::new(
-                &mut chain,
-                BotConfig {
-                    mode,
-                    ..BotConfig::default()
-                },
-            );
-            // A whale trade perturbs pool 0 between bot steps.
-            let whale = funded_whale(&mut chain);
-            let actions = drive(&mut chain, whale, 0..6, |chain, _| {
-                bot.step(chain, &paper_feed()).unwrap()
-            });
-            (actions, chain.state().digest())
-        };
-        let (streaming_actions, streaming_digest) = run(ScanMode::Streaming);
-        let (batch_actions, batch_digest) = run(ScanMode::Batch);
-        let (sharded_actions, sharded_digest) = run(ScanMode::Sharded);
-        assert_eq!(streaming_actions, batch_actions);
-        assert_eq!(streaming_digest, batch_digest);
-        assert_eq!(sharded_actions, batch_actions);
-        assert_eq!(sharded_digest, batch_digest);
+    fn bot_decides_like_a_per_step_discover_oracle() {
+        // Same chain, same feed drift, same whale perturbations: the
+        // ingest-fed sharded bot must submit exactly what a full
+        // per-block rescan would.
+        let mut chain = paper_chain();
+        let mut bot = paper_bot(&mut chain, BotConfig::default());
+        let whale = funded_whale(&mut chain);
+        let actions = drive(&mut chain, whale, 0..8, |chain, moves| {
+            bot.step(chain, moves).unwrap()
+        });
+
+        let mut oracle_chain = paper_chain();
+        let account = oracle_chain.create_account();
+        let whale = funded_whale(&mut oracle_chain);
+        let pipeline = pipeline_for(&BotConfig::default());
+        let mut feed = paper_feed();
+        let oracle_actions = drive(&mut oracle_chain, whale, 0..8, |chain, moves| {
+            for &(token, price) in moves {
+                feed.set(token, price);
+            }
+            let ranked = scanner::discover(chain, &pipeline, &feed).unwrap();
+            execution::submit_best(chain, account, &ranked.opportunities).unwrap()
+        });
+
+        assert_eq!(actions, oracle_actions);
+        assert_eq!(chain.state().digest(), oracle_chain.state().digest());
         assert!(
-            streaming_actions.iter().any(Option::is_some),
+            actions.iter().any(Option::is_some),
             "perturbations should open executable opportunities"
+        );
+    }
+
+    #[test]
+    fn a_rebuilt_view_decides_like_an_uninterrupted_one() {
+        // The journal-less rebuild path (taken after a runtime error):
+        // a view rebuilt from chain state mid-run changes no decision.
+        let run = |rebuild_at: Option<usize>| {
+            let mut chain = paper_chain();
+            let mut bot = paper_bot(&mut chain, BotConfig::default());
+            let whale = funded_whale(&mut chain);
+            let mut actions = drive(&mut chain, whale, 0..4, |chain, moves| {
+                bot.step(chain, moves).unwrap()
+            });
+            if rebuild_at.is_some() {
+                bot.rebuild(&mut chain).unwrap();
+            }
+            actions.extend(drive(&mut chain, whale, 4..8, |chain, moves| {
+                bot.step(chain, moves).unwrap()
+            }));
+            (
+                actions,
+                bot.driver().batches_applied(),
+                chain.state().digest(),
+            )
+        };
+        let (uninterrupted, batches, digest) = run(None);
+        let (rebuilt, rebuilt_batches, rebuilt_digest) = run(Some(4));
+        assert_eq!(rebuilt, uninterrupted);
+        assert_eq!(rebuilt_digest, digest);
+        assert_eq!(batches, 8);
+        assert_eq!(
+            rebuilt_batches, 4,
+            "the rebuilt view counts from its rebuild"
         );
     }
 
@@ -551,16 +666,17 @@ mod tests {
         feed.extend((3..6).map(|i| (t(i), 1.0)));
         let mut bot = ArbBot::new(
             &mut chain,
+            &feed,
             BotConfig {
-                mode: ScanMode::Sharded,
                 shards: 2,
                 ..BotConfig::default()
             },
-        );
-        assert!(bot.runtime_stats().is_none());
-        bot.step(&mut chain, &feed).unwrap();
+        )
+        .unwrap();
+        assert_eq!(bot.runtime().stats().ticks, 0);
+        bot.step(&mut chain, &[]).unwrap();
         chain.mine_block();
-        assert_eq!(bot.shard_count(), Some(2));
+        assert_eq!(bot.runtime().shard_count(), 2);
 
         // Whale flow between steps reaches the owning shard as events.
         let whale = chain.create_account();
@@ -573,17 +689,17 @@ mod tests {
             min_out: 0,
         });
         chain.mine_block();
-        bot.step(&mut chain, &feed).unwrap();
-        let stats = bot.runtime_stats().unwrap();
+        bot.step(&mut chain, &[]).unwrap();
+        let stats = bot.runtime().stats();
         assert!(stats.ticks >= 2, "{stats}");
         assert!(stats.events_routed > 0, "{stats}");
 
         // Telemetry one-liners: screen totals and the per-shard loads.
-        let totals = bot.screen_totals().unwrap();
+        let totals = bot.runtime().screen_totals();
         let line = totals.to_string();
         assert!(line.contains("screened"), "{line}");
         assert!(!line.contains('\n'));
-        let loads = bot.shard_loads().unwrap();
+        let loads = bot.runtime().shard_loads();
         assert_eq!(loads.window_events.len(), 2);
         assert!(loads.window_events.iter().sum::<u64>() > 0, "{loads}");
         assert_eq!(loads.rebalances, 0);
@@ -593,20 +709,14 @@ mod tests {
     #[test]
     fn serving_bot_publishes_the_ranking_it_acts_on() {
         let mut chain = paper_chain();
-        let mut bot = ArbBot::new(
-            &mut chain,
-            BotConfig {
-                mode: ScanMode::Sharded,
-                ..BotConfig::default()
-            },
-        );
+        let mut bot = paper_bot(&mut chain, BotConfig::default());
         assert!(bot.serve_handle(ClientClass::Interactive).is_none());
         assert!(bot.serve_stats().is_none());
         bot.enable_serving(GovernorConfig::default());
         let handle = bot.serve_handle(ClientClass::Interactive).unwrap();
         assert_eq!(handle.load().revision(), 0, "nothing published yet");
 
-        bot.step(&mut chain, &paper_feed()).unwrap();
+        bot.step(&mut chain, &[]).unwrap();
         let published = handle.load();
         assert_eq!(published.revision(), 1);
         assert_eq!(published.len(), 1, "the paper triangle ranks once");
@@ -620,7 +730,7 @@ mod tests {
 
         // A quiet step (the bundle is pending, not mined, so no chain
         // events arrive) publishes nothing new.
-        bot.step(&mut chain, &paper_feed()).unwrap();
+        bot.step(&mut chain, &[]).unwrap();
         let stats = bot.serve_stats().unwrap();
         assert_eq!(stats.revision, 1, "{stats}");
         assert_eq!(stats.publish.skipped, 1);
@@ -631,34 +741,35 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_is_none_before_first_step() {
+    fn telemetry_is_live_from_construction() {
         let mut chain = paper_chain();
-        let mut bot = ArbBot::new(&mut chain, BotConfig::default());
-        assert!(bot.screen_totals().is_none());
-        assert!(bot.shard_loads().is_none());
-        // The default mode is streaming: after a step the screen totals
-        // surface through the same accessor, loads stay sharded-only.
-        bot.step(&mut chain, &paper_feed()).unwrap();
-        assert!(bot.stream_stats().is_some());
-        assert!(bot.screen_totals().is_some());
-        assert!(bot.shard_loads().is_none());
+        let mut bot = paper_bot(&mut chain, BotConfig::default());
+        // The view is built with the bot; the first step is its first
+        // tick, not a cold start.
+        assert_eq!(bot.runtime().shard_count(), 1, "one component");
+        assert_eq!(bot.runtime().screen_totals().strategy_evaluations, 0);
+        assert_eq!(bot.driver().batches_applied(), 0);
+        bot.step(&mut chain, &[]).unwrap();
+        assert_eq!(bot.runtime().stats().ticks, 1);
+        assert!(bot.runtime().screen_totals().strategy_evaluations > 0);
+        assert_eq!(bot.driver().batches_applied(), 1);
     }
 
     #[test]
     fn streaming_bot_tracks_pools_created_after_cold_start() {
         let mut chain = paper_chain();
-        let mut bot = ArbBot::new(&mut chain, BotConfig::default());
-        // Cold start over the original triangle.
-        bot.step(&mut chain, &paper_feed()).unwrap();
+        let mut bot = paper_bot(&mut chain, BotConfig::default());
+        bot.step(&mut chain, &[]).unwrap();
         chain.mine_block();
-        assert!(bot.stream_stats().is_some());
 
         // A new pool arrives as an event, not a re-snapshot.
         chain
             .add_pool(t(0), t(1), to_raw(90.0), to_raw(210.0), FeeRate::UNISWAP_V2)
             .unwrap();
-        bot.step(&mut chain, &paper_feed()).unwrap();
-        let stats = bot.stream_stats().unwrap();
+        bot.step(&mut chain, &[]).unwrap();
+        let shards = bot.runtime().shard_stats();
+        assert_eq!(shards.len(), 1, "one component");
+        let stats = shards[0];
         assert_eq!(stats.pools_added, 1);
         assert!(stats.cycles_added > 0, "{stats}");
     }

@@ -19,10 +19,10 @@ pub enum BotError {
     Snapshot(arb_snapshot::SnapshotError),
     /// An engine failure outside the graph/strategy categories.
     Engine(arb_engine::EngineError),
-    /// Durable journaling or recovery failed (durable mode only:
-    /// [`crate::IngestBot`], [`crate::SupervisedBot`]).
+    /// Journaling or recovery failed (journaled bots only:
+    /// [`crate::ArbBot::attach`], [`crate::ArbBot::recover`]).
     Journal(arb_journal::JournalError),
-    /// The ingestion front-end failed (durable mode only).
+    /// The ingestion front-end failed.
     Ingest(arb_ingest::IngestError),
     /// A supervised bot panicked more times than its recovery budget
     /// allows (supervised mode only).

@@ -19,7 +19,6 @@
 //! Either way the bundle is atomic: if integer rounding or interleaved
 //! transactions made it unprofitable, it reverts and costs nothing but gas.
 
-use arb_convex::LoopPlan;
 use arb_dexsim::chain::Chain;
 use arb_dexsim::state::AccountId;
 use arb_dexsim::tx::{BundleStep, Transaction};
@@ -83,12 +82,6 @@ pub fn inputs_bundle(cycle: &Cycle, inputs: &[f64]) -> Vec<BundleStep> {
         .collect()
 }
 
-/// Builds a bundle from a convex plan's per-hop inputs.
-pub fn plan_bundle(cycle: &Cycle, plan: &LoopPlan) -> Vec<BundleStep> {
-    let inputs: Vec<f64> = plan.flows().iter().map(|f| f.amount_in).collect();
-    inputs_bundle(cycle, &inputs)
-}
-
 /// Builds the execution bundle for an engine opportunity: single-entry
 /// sizings (Traditional/MaxPrice/MaxMax) chain exact integer outputs from
 /// the funded rotation, multi-entry sizings (ConvexOpt) fund each hop
@@ -144,7 +137,7 @@ mod tests {
     use super::*;
     use arb_amm::fee::FeeRate;
     use arb_amm::token::TokenId;
-    use arb_convex::{LoopProblem, SolverOptions};
+    use arb_convex::{LoopPlan, LoopProblem, SolverOptions};
     use arb_dexsim::units::to_raw;
     use arb_graph::TokenGraph;
 
@@ -201,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_bundle_executes_convex_flows() {
+    fn inputs_bundle_executes_convex_flows() {
         let (mut chain, cycle) = paper_setup();
         let graph = TokenGraph::new(
             chain
@@ -215,7 +208,8 @@ mod tests {
         let hops = graph.curves_for(&cycle).unwrap();
         let problem = LoopProblem::new(hops, vec![2.0, 10.2, 20.0]).unwrap();
         let plan = problem.solve(&SolverOptions::default()).unwrap();
-        let steps = plan_bundle(&cycle, &plan);
+        let inputs: Vec<f64> = plan.flows().iter().map(|f| f.amount_in).collect();
+        let steps = inputs_bundle(&cycle, &inputs);
         assert_eq!(steps.len(), 3);
 
         let bot = chain.create_account();
@@ -236,6 +230,7 @@ mod tests {
     fn zero_plan_produces_empty_bundle() {
         let (_, cycle) = paper_setup();
         let plan = LoopPlan::zero(&[1.0, 1.0, 1.0]);
-        assert!(plan_bundle(&cycle, &plan).is_empty());
+        let inputs: Vec<f64> = plan.flows().iter().map(|f| f.amount_in).collect();
+        assert!(inputs_bundle(&cycle, &inputs).is_empty());
     }
 }

@@ -1,43 +1,39 @@
-//! The bot's durable mode: one journaled multiplexed stream for chain
-//! events **and** CEX price moves, periodic checkpoints, crash recovery.
+//! The journaled side of [`ArbBot`]'s ingest path: one durable stream
+//! for chain events **and** CEX price moves, periodic checkpoints, and
+//! crash recovery from disk alone.
 //!
-//! [`IngestBot`] fronts the sharded scan loop with the `arb-ingest`
-//! front-end and the `arb-journal` durability stack:
+//! A bot built by [`ArbBot::attach`] or [`ArbBot::recover`] steps
+//! exactly like one built by [`ArbBot::new`], with a journal attached
+//! to its [`arb_ingest::Ingestor`]:
 //!
-//! * every block, the CEX feed's price moves and the chain's new events
-//!   are staged on separate [`arb_ingest::Ingestor`] sources, sealed
-//!   into one deterministically ordered block, journaled **raw**, then
-//!   coalesced and applied through an [`arb_ingest::IngestDriver`];
+//! * every block's sealed feed moves and chain events are journaled
+//!   **raw** before the driver applies them;
 //! * every [`JournalSettings::checkpoint_every_events`] staged events, a
 //!   checkpoint embeds the fleet, the price table and the per-source
 //!   stream positions, old snapshots are pruned and fully-snapshotted
 //!   segments compacted;
-//! * [`IngestBot::recover`] rebuilds the fleet *and* the feed from disk
+//! * [`ArbBot::recover`] rebuilds the fleet *and* the feed from disk
 //!   alone — no live price feed is needed to resume;
-//! * the scan/execute policy is [`crate::ArbBot`]'s in
-//!   [`crate::ScanMode::Sharded`]: best executable opportunity per
-//!   block, flash-bundle submission ([`execution::submit_best`]).
+//! * a runtime error surfaces as a [`BotError`] instead of the
+//!   journal-less bot's rescan fallback: the journal, not chain state,
+//!   is what a journaled bot rebuilds from ([`crate::SupervisedBot`]).
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use arb_amm::token::TokenId;
 use arb_cex::feed::PriceTable;
 use arb_dexsim::chain::{Chain, EventCursor};
 use arb_dexsim::state::AccountId;
-use arb_ingest::{IngestConfig, IngestDriver, IngestStats, Ingestor, SourceId};
+use arb_ingest::{IngestConfig, Ingestor};
 use arb_journal::{
     JournalConfig, JournalError, JournalWriter, Recovery, RecoveryStats, SnapshotStore,
 };
 
-use crate::bot::{pipeline_for, BotAction};
+use crate::bot::{pipeline_for, sorted_prices, ArbBot, MarketView};
 use crate::config::BotConfig;
 use crate::error::BotError;
-use crate::execution;
-use crate::obs::{BotObs, ExportSink, ObsConfig};
-use crate::scanner;
 
-/// Durability tuning for [`IngestBot`].
+/// Durability tuning for a journaled [`ArbBot`].
 #[derive(Debug, Clone)]
 pub struct JournalSettings {
     /// Directory holding segments and snapshots.
@@ -68,33 +64,55 @@ impl JournalSettings {
             sync_on_commit: true,
         }
     }
+
+    fn open_writer(&self) -> Result<Arc<Mutex<JournalWriter>>, BotError> {
+        let writer =
+            JournalWriter::open(&self.dir, self.journal_config()).map_err(JournalError::from)?;
+        Ok(Arc::new(Mutex::new(writer)))
+    }
 }
 
-/// An arbitrage bot whose market view survives restarts, fed through the
-/// `arb-ingest` front-end. See the module docs for the lifecycle.
+/// A bot's journal: the writer its ingestor appends to, the snapshot
+/// store, and the checkpoint schedule.
 #[derive(Debug)]
-pub struct IngestBot {
-    account: AccountId,
-    config: BotConfig,
-    settings: JournalSettings,
-    ingestor: Ingestor,
-    driver: IngestDriver,
-    feed_source: SourceId,
-    chain_source: SourceId,
-    cursor: EventCursor,
+pub(crate) struct Journal {
+    pub(crate) settings: JournalSettings,
     writer: Arc<Mutex<JournalWriter>>,
     store: SnapshotStore,
     events_since_checkpoint: usize,
     checkpoints_taken: usize,
-    recovery: Option<RecoveryStats>,
-    obs: Option<BotObs>,
+    pub(crate) recovery: Option<RecoveryStats>,
 }
 
-impl IngestBot {
-    /// Starts an ingest-fronted bot on a live chain. The journal
-    /// directory must be fresh: ingest offsets count the *multiplexed*
-    /// stream (feed moves included), so adopting a chain-only journal
-    /// would silently misalign every snapshot. The initial feed and the
+impl Journal {
+    fn new(
+        settings: JournalSettings,
+        writer: Arc<Mutex<JournalWriter>>,
+        recovery: Option<RecoveryStats>,
+    ) -> Result<Self, BotError> {
+        let store = SnapshotStore::new(&settings.dir)?;
+        Ok(Journal {
+            settings,
+            writer,
+            store,
+            events_since_checkpoint: 0,
+            checkpoints_taken: 0,
+            recovery,
+        })
+    }
+
+    /// Counts a step's staged events; true once a checkpoint is due.
+    pub(crate) fn checkpoint_due(&mut self, staged: usize) -> bool {
+        self.events_since_checkpoint += staged;
+        self.events_since_checkpoint >= self.settings.checkpoint_every_events
+    }
+}
+
+impl ArbBot {
+    /// Starts a journaled bot on a live chain. The journal directory
+    /// must be fresh: ingest offsets count the *multiplexed* stream
+    /// (feed moves included), so adopting a chain-only journal would
+    /// silently misalign every snapshot. The initial feed and the
     /// chain's full event history are journaled first — sorted feed
     /// prices, then chain history — giving recovery a self-contained
     /// genesis prefix.
@@ -111,68 +129,50 @@ impl IngestBot {
         settings: JournalSettings,
         ingest: IngestConfig,
     ) -> Result<Self, BotError> {
-        let writer = JournalWriter::open(&settings.dir, settings.journal_config())
-            .map_err(JournalError::from)?;
-        if writer.next_offset() != 0 {
+        let writer = settings.open_writer()?;
+        if writer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .next_offset()
+            != 0
+        {
             return Err(BotError::Journal(JournalError::Corrupt(
                 "ingest attach requires a fresh journal directory (offsets count the \
-                 multiplexed stream) — use IngestBot::recover to resume one"
+                 multiplexed stream) — use ArbBot::recover to resume one"
                     .to_string(),
             )));
         }
-        let writer = Arc::new(Mutex::new(writer));
-        let mut ingestor = Ingestor::new(ingest).with_journal(writer.clone());
-        let feed_source = ingestor.register_source("cex-feed");
-        let chain_source = ingestor.register_source("dexsim");
-
-        // Journal the genesis prefix: the full feed (sorted, so attach is
-        // deterministic), then the chain's event history.
-        let mut initial_prices: Vec<(TokenId, f64)> = feed.iter().collect();
-        initial_prices.sort_unstable_by_key(|(token, _)| token.index());
-        ingestor.offer_feed_moves(feed_source, &initial_prices)?;
-        ingestor.offer(chain_source, chain.event_log().decode_from(0))?;
-        ingestor.seal_block()?;
-        // The runtime below is built from *current* chain state; the
-        // backfill block exists for recovery replay, not for application.
-        ingestor
+        let ingestor = Ingestor::new(ingest).with_journal(writer.clone());
+        let mut view = MarketView::from_chain(chain, feed.clone(), &config, ingestor)?;
+        // Journal the genesis prefix: the full feed, then the chain's
+        // event history. The view was built from *current* chain state;
+        // the backfill block exists for recovery replay, not for
+        // application.
+        view.seal(&sorted_prices(feed), chain.event_log().decode_from(0))?;
+        view.ingestor
             .handle()
             .try_pop()
             .expect("the backfill block was just sealed");
-
-        let graph = scanner::graph_from_chain(chain)?;
-        let runtime =
-            arb_engine::ShardedRuntime::with_graph(pipeline_for(&config), graph, config.shards)?;
-        let driver = IngestDriver::new(runtime, feed.clone(), ingestor.handle());
-        let store = SnapshotStore::new(&settings.dir)?;
-        let cursor = chain.subscribe();
-        Ok(IngestBot {
-            account: chain.create_account(),
+        let journal = Journal::new(settings, writer, None)?;
+        Ok(ArbBot::assemble(
+            chain.create_account(),
             config,
-            settings,
-            ingestor,
-            driver,
-            feed_source,
-            chain_source,
-            cursor,
-            writer,
-            store,
-            events_since_checkpoint: 0,
-            checkpoints_taken: 0,
-            recovery: None,
-            obs: None,
-        })
+            ingest,
+            view,
+            Some(journal),
+        ))
     }
 
-    /// Rebuilds an ingest-fronted bot after a crash **from disk alone**:
-    /// no live price feed is passed — the journal's inline `FeedPrice`
+    /// Rebuilds a journaled bot after a crash **from disk alone**: no
+    /// live price feed is passed — the journal's inline `FeedPrice`
     /// stream and the snapshot's embedded price table reconstruct it.
     /// Chain events the chain emitted while the bot was down are
     /// ingested (journaled, sealed, applied) before this returns.
     ///
     /// # Errors
     ///
-    /// See [`IngestBot::attach`]; additionally fails when recovery
-    /// cannot bootstrap (no snapshot and no genesis prefix).
+    /// See [`ArbBot::attach`]; additionally fails when recovery cannot
+    /// bootstrap (no snapshot and no genesis prefix).
     pub fn recover(
         chain: &mut Chain,
         config: BotConfig,
@@ -182,12 +182,12 @@ impl IngestBot {
         Self::recover_impl(chain, config, settings, ingest, None)
     }
 
-    /// [`IngestBot::recover`], resuming the pre-crash bot's `account`
+    /// [`ArbBot::recover`], resuming the pre-crash bot's `account`
     /// instead of registering a fresh one.
     ///
     /// # Errors
     ///
-    /// See [`IngestBot::recover`].
+    /// See [`ArbBot::recover`].
     pub fn recover_as(
         chain: &mut Chain,
         config: BotConfig,
@@ -205,10 +205,7 @@ impl IngestBot {
         ingest: IngestConfig,
         account: Option<AccountId>,
     ) -> Result<Self, BotError> {
-        let writer = JournalWriter::open(&settings.dir, settings.journal_config())
-            .map_err(JournalError::from)?;
-        let writer = Arc::new(Mutex::new(writer));
-
+        let writer = settings.open_writer()?;
         let recovered = Recovery::new(&settings.dir, pipeline_for(&config), config.shards)
             .recover_journaled()?;
 
@@ -221,184 +218,52 @@ impl IngestBot {
         let chain_position = snapshot_positions.get(1).copied().unwrap_or(0)
             + (recovered.genesis_bootstrap_events + recovered.chain_events_replayed) as u64;
 
-        let mut ingestor = Ingestor::new(ingest).with_journal(writer.clone());
-        let feed_source = ingestor.register_source("cex-feed");
-        let chain_source = ingestor.register_source("dexsim");
-        ingestor.restore_positions(&[feed_position, chain_position])?;
-        let driver = IngestDriver::new(recovered.runtime, recovered.feed, ingestor.handle());
-
-        let cursor = EventCursor::at(chain_position as usize);
-        let store = SnapshotStore::new(&settings.dir)?;
-        let mut bot = IngestBot {
-            account: account.unwrap_or_else(|| chain.create_account()),
-            config,
-            settings,
-            ingestor,
-            driver,
-            feed_source,
-            chain_source,
-            cursor,
-            writer,
-            store,
-            events_since_checkpoint: 0,
-            checkpoints_taken: 0,
-            recovery: Some(recovered.stats),
-            obs: None,
-        };
+        let mut view = MarketView::new(
+            Ingestor::new(ingest).with_journal(writer.clone()),
+            recovered.runtime,
+            recovered.feed,
+            EventCursor::at(chain_position as usize),
+        );
+        view.ingestor
+            .restore_positions(&[feed_position, chain_position])?;
         // Catch up on blocks mined while the bot was down: journal and
         // apply them now so the first step sees a current fleet.
-        let missed = chain.drain_events(&mut bot.cursor);
+        let missed = chain.drain_events(&mut view.cursor);
         if !missed.is_empty() {
-            bot.ingestor.offer(bot.chain_source, missed)?;
-            bot.ingestor.seal_block()?;
-            bot.driver.drain()?;
+            view.seal(&[], missed)?;
+            view.driver.drain()?;
         }
-        Ok(bot)
+        let journal = Journal::new(settings, writer, Some(recovered.stats))?;
+        Ok(ArbBot::assemble(
+            account.unwrap_or_else(|| chain.create_account()),
+            config,
+            ingest,
+            view,
+            Some(journal),
+        ))
     }
 
-    /// Turns on observability: one registry + flight recorder wired
-    /// through the whole pipeline this bot owns — ingest sealing
-    /// (`ingest.seal_ns` → `queue_ns` spans), the apply side
-    /// (`ingest.apply_ns`, `ingest.e2e_ns`, per-batch `ingest.tick`
-    /// flight marks), the sharded runtime (`runtime.*`, `engine.*`),
-    /// and the bot's own step counters. Unless the config names another
-    /// directory, a panic hook is installed that dumps the flight
-    /// recorder to the journal directory on crash, next to the journal
-    /// the post-mortem will replay. A recovery that built this bot is
-    /// reported under `journal.*`. Idempotent.
-    pub fn enable_observability(&mut self, mut config: ObsConfig) {
-        if self.obs.is_some() {
-            return;
-        }
-        if config.panic_dump_dir.is_none() {
-            config.panic_dump_dir = Some(self.settings.dir.clone());
-        }
-        let bot_obs = BotObs::new(&config);
-        self.ingestor.set_obs(bot_obs.obs());
-        self.driver.set_obs(bot_obs.obs());
-        if let Some(recovery) = &self.recovery {
-            recovery.record(bot_obs.obs());
-        }
-        self.obs = Some(bot_obs);
+    /// The journal directory (`None` without a journal).
+    pub fn journal_dir(&self) -> Option<&Path> {
+        self.journal.as_ref().map(|j| j.settings.dir.as_path())
     }
 
-    /// The shared observability handle (`None` until
-    /// [`IngestBot::enable_observability`]).
-    pub fn obs(&self) -> Option<&arb_obs::Obs> {
-        self.obs.as_ref().map(BotObs::obs)
-    }
-
-    /// The current registry in Prometheus text format — the body a
-    /// `/metrics` pull endpoint would serve. `None` until observability
-    /// is enabled.
-    pub fn metrics(&self) -> Option<String> {
-        self.obs.as_ref().map(|o| o.obs().prometheus_text())
-    }
-
-    /// Routes the periodic JSON-lines export (every
-    /// [`ObsConfig::export_every_steps`] steps) into `sink`. No-op
-    /// until observability is enabled.
-    pub fn set_obs_export(&mut self, sink: ExportSink) {
-        if let Some(obs) = &mut self.obs {
-            obs.set_sink(sink);
-        }
-    }
-
-    /// The bot's account.
-    pub fn account(&self) -> AccountId {
-        self.account
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &BotConfig {
-        &self.config
-    }
-
-    /// The journal directory.
-    pub fn journal_dir(&self) -> &Path {
-        &self.settings.dir
-    }
-
-    /// The recovered price table / current feed view.
-    pub fn feed(&self) -> &PriceTable {
-        self.driver.feed()
-    }
-
-    /// Front-end counters (coalescing, queue depth, stalls).
-    pub fn ingest_stats(&self) -> IngestStats {
-        self.ingestor.stats()
-    }
-
-    /// The apply-side driver (batch counters, seal-to-rank latency).
-    pub fn driver(&self) -> &IngestDriver {
-        &self.driver
-    }
-
-    /// How the last [`IngestBot::recover`] went (`None` after
-    /// [`IngestBot::attach`]).
+    /// How the recovery that built this bot went (`None` unless built
+    /// by [`ArbBot::recover`]).
     pub fn recovery_stats(&self) -> Option<&RecoveryStats> {
-        self.recovery.as_ref()
+        self.journal.as_ref().and_then(|j| j.recovery.as_ref())
     }
 
-    /// Checkpoints written since this process started.
+    /// Checkpoints written since this bot was built.
     pub fn checkpoints_taken(&self) -> usize {
-        self.checkpoints_taken
-    }
-
-    /// One decision step: stage this block's feed moves and chain
-    /// events, seal them into one journaled block, apply it through the
-    /// driver, checkpoint if due, and submit a flash bundle for the best
-    /// executable opportunity.
-    ///
-    /// # Errors
-    ///
-    /// Fails on journal write errors, engine failures, or bundle
-    /// construction failures — not on unprofitable markets
-    /// ([`BotAction::Idle`]).
-    pub fn step(
-        &mut self,
-        chain: &mut Chain,
-        feed_moves: &[(TokenId, f64)],
-    ) -> Result<BotAction, BotError> {
-        let step_timer = self.obs.as_ref().map(BotObs::step_timer);
-        let step_span = step_timer.as_ref().map(arb_obs::SpanTimer::start);
-        let action = self.step_inner(chain, feed_moves)?;
-        drop(step_span);
-        if let Some(obs) = &mut self.obs {
-            obs.after_step(matches!(action, BotAction::Submitted { .. }));
-        }
-        Ok(action)
-    }
-
-    fn step_inner(
-        &mut self,
-        chain: &mut Chain,
-        feed_moves: &[(TokenId, f64)],
-    ) -> Result<BotAction, BotError> {
-        self.ingestor
-            .offer_feed_moves(self.feed_source, feed_moves)?;
-        let events = chain.drain_events(&mut self.cursor);
-        let staged = feed_moves.len() + events.len();
-        self.ingestor.offer(self.chain_source, events)?;
-        self.ingestor.seal_block()?;
-        let report = self.driver.drain()?;
-
-        self.events_since_checkpoint += staged;
-        if self.events_since_checkpoint >= self.settings.checkpoint_every_events {
-            self.checkpoint()?;
-        }
-
-        match report {
-            Some(report) => execution::submit_best(chain, self.account, &report.opportunities),
-            None => Ok(BotAction::Idle),
-        }
+        self.journal.as_ref().map_or(0, |j| j.checkpoints_taken)
     }
 
     /// Writes a snapshot of the fleet — including the price table and
     /// per-source positions — at the journal's durable tail, prunes old
     /// snapshots, and compacts segments below the oldest retained one.
-    /// Called automatically by [`IngestBot::step`]; public for shutdown
-    /// hooks.
+    /// Called automatically by [`ArbBot::step`]; public for shutdown
+    /// hooks. A no-op without a journal.
     ///
     /// When the journal is running behind (events appended but not yet
     /// durably committed, e.g. while the writer is in degraded mode),
@@ -415,36 +280,34 @@ impl IngestBot {
     ///
     /// Returns [`BotError::Journal`] on snapshot or compaction failures.
     pub fn checkpoint(&mut self) -> Result<(), BotError> {
+        let Some(journal) = &mut self.journal else {
+            return Ok(());
+        };
         let (offset, pending) = {
-            let writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let writer = journal
+                .writer
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             (writer.durable_offset(), writer.pending_events())
         };
         if pending > 0 {
             return Ok(());
         }
-        let mut checkpoint = self.driver.checkpoint();
-        checkpoint.source_positions = self.ingestor.source_positions();
-        self.store.write(offset, &checkpoint)?;
-        self.store.prune(self.settings.keep_snapshots)?;
-        if let Some(oldest_retained) = self.store.list()?.first().map(|(offset, _)| *offset) {
-            self.writer
+        let mut checkpoint = self.view.driver.checkpoint();
+        checkpoint.source_positions = self.view.ingestor.source_positions();
+        journal.store.write(offset, &checkpoint)?;
+        journal.store.prune(journal.settings.keep_snapshots)?;
+        if let Some(oldest_retained) = journal.store.list()?.first().map(|(offset, _)| *offset) {
+            journal
+                .writer
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .compact_below(oldest_retained)
                 .map_err(JournalError::from)?;
         }
-        self.checkpoints_taken += 1;
-        self.events_since_checkpoint = 0;
+        journal.checkpoints_taken += 1;
+        journal.events_since_checkpoint = 0;
         Ok(())
-    }
-
-    /// Installs an [`arb_engine::TickHook`] on the underlying sharded
-    /// runtime — the seam chaos tests use to inject slow ticks and
-    /// mid-tick panics into a live bot. Hooks do not survive recovery
-    /// (the runtime is rebuilt from disk); [`crate::SupervisedBot`]
-    /// re-installs its hook after every supervised restart.
-    pub fn set_tick_hook(&mut self, hook: Arc<dyn arb_engine::TickHook>) {
-        self.driver.runtime_mut().set_tick_hook(hook);
     }
 }
 
@@ -470,7 +333,7 @@ mod tests {
         let mut oracle_chain = paper_chain();
         let whale = funded_whale(&mut oracle_chain);
         let oracle_dir = TestDir::new("crash-oracle");
-        let mut oracle = IngestBot::attach(
+        let mut oracle = ArbBot::attach(
             &mut oracle_chain,
             &paper_feed(),
             BotConfig::default(),
@@ -485,7 +348,7 @@ mod tests {
         // The crashing run: same chain history, bot dies after block 4.
         let mut chain = paper_chain();
         let whale = funded_whale(&mut chain);
-        let mut bot = IngestBot::attach(
+        let mut bot = ArbBot::attach(
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
@@ -502,7 +365,7 @@ mod tests {
         drop(bot); // 💥 the chain's later events pile up un-journaled
 
         // NO feed is passed here — the whole point of the ingest stream.
-        let mut bot = IngestBot::recover_as(
+        let mut bot = ArbBot::recover_as(
             &mut chain,
             BotConfig::default(),
             settings(&dir, 4),
@@ -549,7 +412,7 @@ mod tests {
         let mut chain = paper_chain();
         let whale = funded_whale(&mut chain);
         // Huge checkpoint interval: the bot dies before any snapshot.
-        let mut bot = IngestBot::attach(
+        let mut bot = ArbBot::attach(
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
@@ -563,7 +426,7 @@ mod tests {
         assert_eq!(bot.checkpoints_taken(), 0);
         drop(bot);
 
-        let bot = IngestBot::recover(
+        let bot = ArbBot::recover(
             &mut chain,
             BotConfig::default(),
             settings(&dir, 10_000),
@@ -589,7 +452,7 @@ mod tests {
         let dir = TestDir::new("compact");
         let mut chain = paper_chain();
         let whale = funded_whale(&mut chain);
-        let mut bot = IngestBot::attach(
+        let mut bot = ArbBot::attach(
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
@@ -640,7 +503,7 @@ mod tests {
     fn attach_rejects_a_used_journal_directory() {
         let dir = TestDir::new("fresh");
         let mut chain = paper_chain();
-        let bot = IngestBot::attach(
+        let bot = ArbBot::attach(
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
@@ -650,7 +513,7 @@ mod tests {
         .unwrap();
         drop(bot);
         let mut second = paper_chain();
-        let err = IngestBot::attach(
+        let err = ArbBot::attach(
             &mut second,
             &paper_feed(),
             BotConfig::default(),

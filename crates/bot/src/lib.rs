@@ -1,27 +1,35 @@
 //! An end-to-end arbitrage bot over the simulated chain.
 //!
-//! This crate closes the loop the paper describes: every block, scan DEX
-//! state for arbitrage loops, evaluate the profit-maximization strategies,
-//! and execute the best plan atomically via a flash bundle. It glues every
-//! substrate together:
+//! This crate closes the loop the paper describes: every block, rank the
+//! arbitrage loops, evaluate the profit-maximization strategies, and
+//! execute the best plan atomically via a flash bundle. There is one
+//! bot, [`ArbBot`], with one market view and one step loop:
 //!
 //! ```text
-//! dexsim state ──▶ arb-engine pipeline (graph → cycles → strategies)
-//!      ▲                                            │
-//!      └────────── flash bundle execution ◀─────────┘
+//!  CEX feed moves ──offer──▶ ┌──────────┐ seal  ┌──────────────┐
+//!  chain events   ──offer──▶ │ Ingestor │ ────▶ │ IngestDriver │
+//!                            └──────────┘  │    └──────┬───────┘
+//!                        journal (attach / │           │ apply
+//!                        recover only) ◀───┘           ▼
+//!                                            ShardedRuntime ── ranking ──▶ serve
+//!                                                      │
+//!      chain ◀── flash bundle (submit_best) ◀──────────┘
 //!                        (pnl ledger)
 //! ```
 //!
-//! * [`scanner`] — chain state → token graph → engine discovery run;
+//! * [`bot`] — [`ArbBot`]: the per-block step (stage, seal, apply,
+//!   rank, execute), serving and observability;
+//! * [`ingest_bot`] — the journal a bot is built with by
+//!   [`ArbBot::attach`] / [`ArbBot::recover`]: every sealed block
+//!   journaled raw, periodic fleet checkpoints, feed-free crash
+//!   recovery via `arb-journal`. [`ArbBot::new`] builds the same bot
+//!   without one;
+//! * [`supervisor`] — panic supervision over a journaled bot: catch a
+//!   mid-tick panic, dump the flight recorder, let the bot rebuild
+//!   itself from the journal, retry, bounded by a recovery budget;
+//! * [`scanner`] — chain state → token graph → engine discovery run (the
+//!   view's cold build, and a journal-less bot's rescan fallback);
 //! * [`execution`] — engine opportunity → integer-exact flash bundle;
-//! * [`bot`] — the per-block policy over ranked engine opportunities;
-//! * [`ingest_bot`] — the durable mode: chain events *and* CEX price
-//!   moves multiplexed, journaled, and coalesced via `arb-ingest`, with
-//!   periodic fleet checkpoints and feed-free crash recovery via
-//!   `arb-journal`;
-//! * [`supervisor`] — panic supervision over the durable mode:
-//!   catch a mid-tick panic, dump the flight recorder, rebuild from the
-//!   journal, retry, bounded by a recovery budget;
 //! * [`pnl`] — balance accounting and monetized PnL series;
 //! * [`sim`] — a deterministic market harness (noise traders + LPs + CEX
 //!   price drift + the bot) used by examples, tests, and benches.
@@ -58,8 +66,8 @@ pub mod supervisor;
 mod testkit;
 
 pub use bot::{pipeline_for, ArbBot, BotAction, ServeTelemetry};
-pub use config::{BotConfig, ScanMode, StrategyChoice};
+pub use config::{BotConfig, StrategyChoice};
 pub use error::BotError;
-pub use ingest_bot::{IngestBot, JournalSettings};
+pub use ingest_bot::JournalSettings;
 pub use obs::{ExportSink, ObsConfig};
 pub use supervisor::SupervisedBot;

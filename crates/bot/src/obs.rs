@@ -1,11 +1,11 @@
 //! Bot-level observability wiring: configuration, per-step counters,
 //! periodic export, and the `/metrics`-style pull surface.
 //!
-//! Both bots — [`crate::ArbBot`] and the durable [`crate::IngestBot`]
-//! (also behind [`crate::SupervisedBot`]) — attach through
-//! `enable_observability(ObsConfig)`, which builds one
-//! [`arb_obs::Obs`] handle and threads it through every layer they own
-//! (ingest front-end, engine/runtime, publisher). The bots then expose:
+//! A bot — journaled or not, supervised or not — attaches through
+//! [`crate::ArbBot::enable_observability`], which builds one
+//! [`arb_obs::Obs`] handle and threads it through every layer the bot
+//! owns (ingest front-end, driver, sharded runtime, publisher). The bot
+//! then exposes:
 //!
 //! * `obs()` — the shared handle, for snapshots and flight dumps;
 //! * `metrics()` — the current registry in Prometheus text format, the
@@ -29,10 +29,11 @@ pub struct ObsConfig {
     /// this many steps (0 = no periodic export; the pull surface stays
     /// available either way).
     pub export_every_steps: usize,
-    /// Install a process-wide panic hook dumping the flight recorder to
-    /// this directory on crash. [`crate::IngestBot`] defaults this to
-    /// its journal directory when unset; [`crate::ArbBot`] has no
-    /// durable directory, so `None` means no hook there.
+    /// Dump the flight recorder to this directory on a panic
+    /// ([`arb_obs::install_panic_hook`]: one process-wide hook, dumping
+    /// the most recently enabled bot's recorder). A journaled bot
+    /// defaults this to its journal directory when unset; a bot without
+    /// a journal installs no hook unless a directory is named.
     pub panic_dump_dir: Option<PathBuf>,
 }
 
@@ -98,6 +99,11 @@ impl BotObs {
 
     pub fn set_sink(&mut self, sink: ExportSink) {
         self.sink = Some(sink);
+    }
+
+    /// The export sink, handed over when a rebuilt bot replaces this one.
+    pub fn into_sink(self) -> Option<ExportSink> {
+        self.sink
     }
 
     /// The `bot.step_ns` timer, cloned out so the caller can hold the

@@ -17,7 +17,7 @@ use arb_snapshot::{Generator, SnapshotConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::bot::{ArbBot, BotAction};
+use crate::bot::{sorted_prices, ArbBot, BotAction};
 use crate::config::BotConfig;
 use crate::error::BotError;
 use crate::pnl::Ledger;
@@ -156,7 +156,7 @@ impl MarketSim {
             );
         }
 
-        let bot = ArbBot::new(&mut chain, config.bot);
+        let bot = ArbBot::new(&mut chain, &exchange.price_table(), config.bot)?;
         let trader = RandomTrader::new(
             &mut chain,
             config.trader_probability,
@@ -190,7 +190,9 @@ impl MarketSim {
         self.exchange.tick(&mut self.rng);
         let feed = self.exchange.price_table();
 
-        let action = self.bot.step(&mut self.chain, &feed)?;
+        // Absolute prices for every token: the runtime's feed diff
+        // dirties only the tokens that really moved.
+        let action = self.bot.step(&mut self.chain, &sorted_prices(&feed))?;
         self.chain.mine_block();
 
         let point = self.ledger.observe(
@@ -307,12 +309,11 @@ mod tests {
     #[test]
     fn workload_profiles_drive_the_sim() {
         // Every catalog workload must map onto a runnable market sim, and
-        // the sharded bot must survive whichever shape it gets.
+        // the bot must survive whichever shape it gets.
         for spec in arb_workloads::catalog() {
             let config = MarketSimConfig::from_workload(
                 spec,
                 BotConfig {
-                    mode: crate::config::ScanMode::Sharded,
                     min_profit_usd: 0.5,
                     ..BotConfig::default()
                 },

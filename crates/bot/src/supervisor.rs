@@ -1,6 +1,6 @@
-//! Panic supervision for the ingest-fronted bot: catch a mid-tick
-//! panic, dump the flight recorder, rebuild from the journal, and
-//! retry the same step — bounded by a recovery budget.
+//! Panic supervision for a journaled bot: catch a mid-tick panic,
+//! dump the flight recorder, rebuild from the journal, and retry the
+//! same step — bounded by a recovery budget.
 //!
 //! [`SupervisedBot`] is the last layer of the graceful-degradation
 //! story. The layers below it already turn *partial* failures into
@@ -13,9 +13,10 @@
 //! 2. the flight recorder (when observability is on) is dumped next to
 //!    the journal, so the post-mortem trail survives even though the
 //!    process does not die;
-//! 3. the bot is rebuilt via [`IngestBot::recover_as`] — same account,
-//!    same journal directory — which replays the durable stream into a
-//!    fresh fleet;
+//! 3. the bot rebuilds itself from the journal — same account, same
+//!    journal directory — replaying the durable stream into a fresh
+//!    fleet; it re-applies its own observability, tick hook and
+//!    publisher, so the supervisor re-wires nothing;
 //! 4. the step that panicked is retried. Retrying is safe: the step's
 //!    events were sealed and journaled *before* application, so the
 //!    rebuilt runtime already contains them; the retry re-offers only
@@ -28,45 +29,35 @@
 //! and retrying forever would hide it.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
 
 use arb_amm::token::TokenId;
 use arb_cex::feed::PriceTable;
 use arb_dexsim::chain::Chain;
-use arb_dexsim::state::AccountId;
-use arb_engine::TickHook;
-use arb_ingest::{IngestConfig, IngestStats};
+use arb_ingest::IngestConfig;
 
-use crate::bot::BotAction;
+use crate::bot::{ArbBot, BotAction};
 use crate::config::BotConfig;
 use crate::error::BotError;
-use crate::ingest_bot::{IngestBot, JournalSettings};
-use crate::obs::ObsConfig;
+use crate::ingest_bot::JournalSettings;
 
-/// An [`IngestBot`] wrapped in a panic supervisor. See the module docs
-/// for the recovery protocol.
+/// A journaled [`ArbBot`] wrapped in a panic supervisor. See the module
+/// docs for the recovery protocol.
 #[derive(Debug)]
 pub struct SupervisedBot {
-    bot: IngestBot,
-    config: BotConfig,
-    settings: JournalSettings,
-    ingest: IngestConfig,
-    obs_config: Option<ObsConfig>,
-    tick_hook: Option<Arc<dyn TickHook>>,
+    bot: ArbBot,
     max_recoveries: u32,
     recoveries: u32,
 }
 
 impl SupervisedBot {
-    /// Starts a supervised ingest-fronted bot on a live chain (see
-    /// [`IngestBot::attach`] for the journal-directory contract). Up to
-    /// `max_recoveries` panicked steps will be recovered over the bot's
-    /// lifetime; the next one past the budget returns
-    /// [`BotError::RecoveryExhausted`].
+    /// Starts a supervised bot on a live chain (see [`ArbBot::attach`]
+    /// for the journal-directory contract). Up to `max_recoveries`
+    /// panicked steps will be recovered over the bot's lifetime; the
+    /// next one past the budget returns [`BotError::RecoveryExhausted`].
     ///
     /// # Errors
     ///
-    /// See [`IngestBot::attach`].
+    /// See [`ArbBot::attach`].
     pub fn attach(
         chain: &mut Chain,
         feed: &PriceTable,
@@ -75,26 +66,17 @@ impl SupervisedBot {
         ingest: IngestConfig,
         max_recoveries: u32,
     ) -> Result<Self, BotError> {
-        let bot = IngestBot::attach(chain, feed, config, settings.clone(), ingest)?;
-        Ok(SupervisedBot {
-            bot,
-            config,
-            settings,
-            ingest,
-            obs_config: None,
-            tick_hook: None,
-            max_recoveries,
-            recoveries: 0,
-        })
+        let bot = ArbBot::attach(chain, feed, config, settings, ingest)?;
+        Ok(SupervisedBot::supervise(bot, max_recoveries))
     }
 
     /// Resumes a supervised bot from an existing journal directory —
-    /// [`IngestBot::recover`] under the same supervision contract as
+    /// [`ArbBot::recover`] under the same supervision contract as
     /// [`SupervisedBot::attach`].
     ///
     /// # Errors
     ///
-    /// See [`IngestBot::recover`].
+    /// See [`ArbBot::recover`].
     pub fn recover(
         chain: &mut Chain,
         config: BotConfig,
@@ -102,26 +84,25 @@ impl SupervisedBot {
         ingest: IngestConfig,
         max_recoveries: u32,
     ) -> Result<Self, BotError> {
-        let bot = IngestBot::recover(chain, config, settings.clone(), ingest)?;
-        Ok(SupervisedBot {
-            bot,
-            config,
-            settings,
-            ingest,
-            obs_config: None,
-            tick_hook: None,
-            max_recoveries,
-            recoveries: 0,
-        })
+        let bot = ArbBot::recover(chain, config, settings, ingest)?;
+        Ok(SupervisedBot::supervise(bot, max_recoveries))
     }
 
-    /// One supervised decision step. Delegates to [`IngestBot::step`];
-    /// a panic anywhere inside it triggers the recovery protocol and a
+    fn supervise(bot: ArbBot, max_recoveries: u32) -> Self {
+        SupervisedBot {
+            bot,
+            max_recoveries,
+            recoveries: 0,
+        }
+    }
+
+    /// One supervised decision step. Delegates to [`ArbBot::step`]; a
+    /// panic anywhere inside it triggers the recovery protocol and a
     /// retry of this same step.
     ///
     /// # Errors
     ///
-    /// Everything [`IngestBot::step`] returns, plus
+    /// Everything [`ArbBot::step`] returns, plus
     /// [`BotError::RecoveryExhausted`] when a panic lands after the
     /// recovery budget is spent, and recovery's own errors when the
     /// rebuild itself fails.
@@ -148,55 +129,24 @@ impl SupervisedBot {
         }
     }
 
-    /// The recovery protocol: dump the flight trail, rebuild the bot
-    /// from the journal under the pre-crash account, re-wire
-    /// observability and the tick hook (neither survives the rebuild).
+    /// The recovery protocol: dump the flight trail, let the bot
+    /// rebuild itself from the journal, and count the recovery in the
+    /// rebuilt bot's fresh registry.
     fn restart(&mut self, chain: &mut Chain) -> Result<(), BotError> {
         // The obs panic hook (when installed) already dumped at panic
         // time; dump again explicitly so the trail exists even when the
         // global hook was replaced by the embedding application.
-        if let Some(obs) = self.bot.obs() {
-            let _ = obs.dump_flight_to(&self.settings.dir.join(arb_obs::FLIGHT_DUMP_FILE));
+        if let (Some(obs), Some(dir)) = (self.bot.obs(), self.bot.journal_dir()) {
+            let _ = obs.dump_flight_to(&dir.join(arb_obs::FLIGHT_DUMP_FILE));
         }
-        let account = self.bot.account();
-        self.bot = IngestBot::recover_as(
-            chain,
-            self.config,
-            self.settings.clone(),
-            self.ingest,
-            account,
-        )?;
-        if let Some(obs_config) = &self.obs_config {
-            self.bot.enable_observability(obs_config.clone());
-        }
+        self.bot.rebuild(chain)?;
         if let Some(obs) = self.bot.obs() {
             obs.registry().counter("bot.recoveries").inc();
             obs.registry()
                 .gauge("bot.recoveries.total")
                 .set(f64::from(self.recoveries));
         }
-        if let Some(hook) = &self.tick_hook {
-            self.bot.set_tick_hook(Arc::clone(hook));
-        }
         Ok(())
-    }
-
-    /// Turns on observability (see [`IngestBot::enable_observability`])
-    /// and remembers the config so every post-recovery rebuild is
-    /// re-instrumented. After a recovery the registry is fresh; the
-    /// cumulative recovery count is republished as the
-    /// `bot.recoveries.total` gauge.
-    pub fn enable_observability(&mut self, config: ObsConfig) {
-        self.obs_config = Some(config.clone());
-        self.bot.enable_observability(config);
-    }
-
-    /// Installs a tick hook on the underlying runtime and re-installs
-    /// it after every supervised recovery — the seam chaos tests use to
-    /// inject shard-level faults into a live, supervised bot.
-    pub fn set_tick_hook(&mut self, hook: Arc<dyn TickHook>) {
-        self.tick_hook = Some(Arc::clone(&hook));
-        self.bot.set_tick_hook(hook);
     }
 
     /// Supervised recoveries performed so far.
@@ -209,42 +159,29 @@ impl SupervisedBot {
         self.max_recoveries
     }
 
-    /// The bot's account (stable across recoveries).
-    pub fn account(&self) -> AccountId {
-        self.bot.account()
-    }
-
-    /// Front-end counters of the current underlying bot.
-    pub fn ingest_stats(&self) -> IngestStats {
-        self.bot.ingest_stats()
-    }
-
-    /// The supervised bot, for read-side queries (feed view, metrics,
-    /// recovery stats).
-    pub fn bot(&self) -> &IngestBot {
+    /// The supervised bot, for read-side queries (account, feed view,
+    /// metrics, recovery stats).
+    pub fn bot(&self) -> &ArbBot {
         &self.bot
     }
 
-    /// Forces a checkpoint on the underlying bot (see
-    /// [`IngestBot::checkpoint`] — deferred while the journal has an
-    /// undurable backlog).
-    ///
-    /// # Errors
-    ///
-    /// See [`IngestBot::checkpoint`].
-    pub fn checkpoint(&mut self) -> Result<(), BotError> {
-        self.bot.checkpoint()
+    /// The supervised bot, for attachments that survive its rebuilds
+    /// (observability, serving, tick hooks) and forced checkpoints.
+    pub fn bot_mut(&mut self) -> &mut ArbBot {
+        &mut self.bot
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::ObsConfig;
     use crate::testkit::{drive, funded_whale, moves_for, paper_chain, paper_feed, t, TestDir};
     use arb_amm::pool::PoolId;
     use arb_chaos::{ChaosInjector, ChaosTickHook, FaultKind, FaultPlan};
     use arb_dexsim::tx::Transaction;
     use arb_dexsim::units::to_raw;
+    use std::sync::Arc;
 
     fn settings(dir: &TestDir) -> JournalSettings {
         JournalSettings {
@@ -270,7 +207,7 @@ mod tests {
         let mut oracle_chain = paper_chain();
         let whale = funded_whale(&mut oracle_chain);
         let oracle_dir = TestDir::new("panic-oracle");
-        let mut oracle = IngestBot::attach(
+        let mut oracle = ArbBot::attach(
             &mut oracle_chain,
             &paper_feed(),
             BotConfig::default(),
@@ -295,9 +232,10 @@ mod tests {
             4,
         )
         .unwrap();
-        bot.enable_observability(ObsConfig::default());
+        bot.bot_mut().enable_observability(ObsConfig::default());
         let injector = Arc::new(ChaosInjector::new(panic_plan(2..3)));
-        bot.set_tick_hook(Arc::new(ChaosTickHook::new(Arc::clone(&injector))));
+        bot.bot_mut()
+            .set_tick_hook(Arc::new(ChaosTickHook::new(Arc::clone(&injector))));
 
         let actions = drive(&mut chain, whale, 0..8, |chain, moves| {
             bot.step(chain, moves).unwrap()
@@ -340,7 +278,8 @@ mod tests {
         )
         .unwrap();
         let injector = Arc::new(ChaosInjector::new(panic_plan(0..64)));
-        bot.set_tick_hook(Arc::new(ChaosTickHook::new(injector)));
+        bot.bot_mut()
+            .set_tick_hook(Arc::new(ChaosTickHook::new(injector)));
 
         let mut saw_exhaustion = false;
         for i in 0..4 {

@@ -51,6 +51,7 @@ pub mod span;
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, Once, PoisonError};
 
 pub use flight::{EventKind, FlightEvent, FlightRecorder};
 pub use registry::{
@@ -187,18 +188,28 @@ impl Marker {
     }
 }
 
-/// Installs a process-wide panic hook that dumps `obs`'s flight
-/// recorder to `dir/`[`FLIGHT_DUMP_FILE`] before delegating to the
-/// previously installed hook. Install once per recorder; repeated
-/// installs chain (each dumps its own recorder).
+/// The recorder the panic hook dumps, and where (see
+/// [`install_panic_hook`]).
+static PANIC_DUMP: Mutex<Option<(Obs, PathBuf)>> = Mutex::new(None);
+
+/// Makes `obs`'s flight recorder the one a panic dumps to
+/// `dir/`[`FLIGHT_DUMP_FILE`]. The process-wide hook is installed on the
+/// first call and delegates to the hook it replaced; later calls only
+/// swap the dumped recorder, so a rebuilt component's trail replaces
+/// its predecessor's instead of stacking a second hook behind it.
 pub fn install_panic_hook(obs: &Obs, dir: &Path) {
-    let obs = obs.clone();
-    let path: PathBuf = dir.join(FLIGHT_DUMP_FILE);
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let _ = obs.dump_flight_to(&path);
-        previous(info);
-    }));
+    static HOOK: Once = Once::new();
+    *PANIC_DUMP.lock().unwrap_or_else(PoisonError::into_inner) =
+        Some((obs.clone(), dir.join(FLIGHT_DUMP_FILE)));
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if let Some((obs, path)) = &*PANIC_DUMP.lock().unwrap_or_else(PoisonError::into_inner) {
+                let _ = obs.dump_flight_to(path);
+            }
+            previous(info);
+        }));
+    });
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! A live arbitrage bot on the simulated market.
 //!
 //! Noise traders and liquidity providers push pools out of line each
-//! block; a CEX drifts token prices; the bot consumes the chain's
-//! `Sync`/`Swap` event stream, applies the deltas to its persistent
-//! graph + cycle index, re-evaluates only the loops each block touched,
-//! and executes atomically via flash bundles. Its PnL can only grow —
-//! bundles revert unless they settle non-negative.
+//! block; a CEX drifts token prices; the bot seals the price moves and
+//! the chain's `Sync`/`Swap` events into one block, applies the deltas
+//! to its sharded graph + cycle index, re-evaluates only the loops each
+//! block touched, and executes atomically via flash bundles. Its PnL
+//! can only grow — bundles revert unless they settle non-negative.
 //!
 //! ```text
 //! cargo run --release --example arbitrage_bot
@@ -21,9 +21,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         num_pools: 24,
         trader_max_fraction: 0.04,
         bot: BotConfig {
-            // Event-driven scanning is the default; spelled out here
-            // because this example is the streaming path's showcase.
-            mode: ScanMode::Streaming,
             strategy: StrategyChoice::MaxMax,
             min_profit_usd: 0.25,
             ..BotConfig::default()
@@ -48,9 +45,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nbundles executed: {executed}");
     println!("final bot PnL: {}", sim.bot_pnl());
-    if let Some(stats) = sim.bot().stream_stats() {
-        println!("streaming: {stats}");
-    }
+    // Counters only (no wall-clock fields), so the output stays
+    // byte-deterministic across runs.
+    let runtime = sim.bot().runtime();
+    println!(
+        "runtime: {} ticks, {} events routed, {}",
+        runtime.stats().ticks,
+        runtime.stats().events_routed,
+        runtime.screen_totals()
+    );
     let holdings = arbloops::bot::pnl::Ledger::holdings(
         sim.chain(),
         sim.bot().account(),

@@ -77,8 +77,7 @@ pub mod prelude {
     };
     pub use arb_bot::{
         sim::{MarketSim, MarketSimConfig},
-        ArbBot, BotConfig, IngestBot, JournalSettings, ObsConfig, ScanMode, StrategyChoice,
-        SupervisedBot,
+        ArbBot, BotConfig, JournalSettings, ObsConfig, StrategyChoice, SupervisedBot,
     };
     pub use arb_cex::feed::{PriceFeed, PriceTable};
     pub use arb_chaos::{

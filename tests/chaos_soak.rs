@@ -9,25 +9,14 @@
 //! `(seed, site, tick)`), and a soak with observability attached leaves
 //! `chaos.*` / `health.*` metrics plus a flight-recorder dump behind.
 
+mod support;
+
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use arbloops::chaos::harness::FLIGHT_DUMP;
 use arbloops::prelude::*;
 use arbloops::workloads;
-
-/// A fresh journal directory per call: tests running the same workload
-/// concurrently in one process must not share (and delete) each other's.
-fn soak_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "arbloops-chaos-{tag}-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use support::TestDir;
 
 fn soak_config(dir: PathBuf, seed: u64) -> SoakConfig {
     SoakConfig {
@@ -45,12 +34,10 @@ fn soak_config(dir: PathBuf, seed: u64) -> SoakConfig {
 
 fn soak(workload: &str, seed: u64, obs: Option<&Obs>) -> SoakOutcome {
     let spec = workloads::find(workload).expect("workload in catalog");
-    let dir = soak_dir(workload);
-    let config = soak_config(dir.clone(), seed);
+    let dir = TestDir::new(workload);
+    let config = soak_config(dir.path().to_path_buf(), seed);
     let plan = standard_plan(seed, config.scenario.ticks as u64);
-    let outcome = arbloops::chaos::run_soak(spec, &config, plan, obs).expect("soak completes");
-    let _ = std::fs::remove_dir_all(&dir);
-    outcome
+    arbloops::chaos::run_soak(spec, &config, plan, obs).expect("soak completes")
 }
 
 fn assert_reconverged(outcome: &SoakOutcome) {
@@ -134,8 +121,8 @@ fn same_seed_reruns_reproduce_the_fault_schedule_and_the_outcome() {
 #[test]
 fn soak_mirrors_chaos_and_health_telemetry() {
     let spec = workloads::find("whale-bursts").expect("in catalog");
-    let dir = soak_dir("telemetry");
-    let config = soak_config(dir.clone(), 7_707);
+    let dir = TestDir::new("telemetry");
+    let config = soak_config(dir.path().to_path_buf(), 7_707);
     let plan = standard_plan(7_707, config.scenario.ticks as u64);
     let obs = Obs::default();
     let outcome =
@@ -172,8 +159,7 @@ fn soak_mirrors_chaos_and_health_telemetry() {
         "the reconvergence verdict is exported"
     );
     assert!(
-        dir.join(FLIGHT_DUMP).is_file(),
+        dir.path().join(FLIGHT_DUMP).is_file(),
         "the supervisor dumps the flight recorder on recovery"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,30 +11,13 @@
 //! replay would (the snapshot actually paid for itself) — asserted via
 //! `RecoveryStats`.
 
-use std::fs;
-use std::path::PathBuf;
+mod support;
 
 use arbloops::prelude::*;
 use arbloops::workloads::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("arbloops-recovery-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+use support::TestDir;
 
 /// Asserts ranked-output equality, bit for bit, position by position.
 fn assert_reports_identical(
@@ -89,12 +72,12 @@ fn crash_and_recover(workload: &'static str, seed: u64) {
     let kill = rng.gen_range(total / 3..total);
     let checkpoint_every = (total / 6).max(1);
 
-    let scratch = Scratch::new(workload);
+    let scratch = TestDir::new(workload);
     let pipeline = OpportunityPipeline::default;
 
     // --- the doomed process: journal + checkpoint until the kill -------
-    let mut writer = JournalWriter::open(&scratch.0, JournalConfig::default()).unwrap();
-    let store = SnapshotStore::new(&scratch.0).unwrap();
+    let mut writer = JournalWriter::open(scratch.path(), JournalConfig::default()).unwrap();
+    let store = SnapshotStore::new(scratch.path()).unwrap();
     let mut doomed = ShardedRuntime::new(pipeline(), scenario.pools.clone(), 4).unwrap();
     let mut feed = scenario.feed.clone();
     let mut written = 0usize;
@@ -131,7 +114,7 @@ fn crash_and_recover(workload: &'static str, seed: u64) {
     drop(doomed); // 💥 crash: all in-memory engine state is gone
 
     // --- recovery ------------------------------------------------------
-    let recovered = Recovery::new(&scratch.0, pipeline(), 4)
+    let recovered = Recovery::new(scratch.path(), pipeline(), 4)
         .with_genesis_pools(scenario.pools.clone())
         .with_genesis_feed(feed.clone())
         .recover_journaled()

@@ -3,36 +3,20 @@
 //!
 //! Two runs of the same seeded scenario — one with `arb-obs` wired in,
 //! one without — must make bit-identical decisions and report identical
-//! legacy stats. And the instrumented run's exported registry snapshot
-//! must reproduce the legacy `StreamStats` / `IngestStats` displays
-//! counter for counter: the migration kept the old structs as the
-//! source of truth, so the registry is a mirror, never a fork.
+//! legacy stats, for a bot with and without a journal. And the
+//! instrumented run's exported registry snapshot must reproduce the
+//! legacy `RuntimeStats` / `IngestStats` displays counter for counter:
+//! the migration kept the old structs as the source of truth, so the
+//! registry is a mirror, never a fork.
 
-use std::fs;
-use std::path::PathBuf;
+mod support;
 
 use arbloops::bot::BotAction;
 use arbloops::prelude::*;
+use support::TestDir;
 
 fn t(i: u32) -> TokenId {
     TokenId::new(i)
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("arbloops-obseq-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
 }
 
 fn paper_chain() -> Chain {
@@ -80,75 +64,99 @@ fn action_bits(action: &BotAction) -> Option<(u64, usize)> {
 
 const BLOCKS: usize = 8;
 
-/// Asserts every `engine.*` counter in `snapshot` equals its
-/// `StreamStats` source field.
-fn assert_stream_stats_mirrored(snapshot: &RegistrySnapshot, stats: &StreamStats) {
-    let expected: [(&str, usize); 20] = [
-        ("engine.events_applied", stats.events_applied),
-        ("engine.syncs_applied", stats.syncs_applied),
-        ("engine.pools_added", stats.pools_added),
-        ("engine.pools_retired", stats.pools_retired),
-        ("engine.pools_revived", stats.pools_revived),
-        ("engine.cycles_added", stats.cycles_added),
-        ("engine.cycles_retired", stats.cycles_retired),
-        ("engine.cycles_dirtied", stats.cycles_dirtied),
-        ("engine.cycles_evaluated", stats.cycles_evaluated),
-        ("engine.strategy_evaluations", stats.strategy_evaluations),
-        ("engine.evaluations_saved", stats.evaluations_saved),
-        ("engine.refreshes", stats.refreshes),
-        ("engine.cycles_screened_out", stats.cycles_screened_out),
-        ("engine.cycles_floor_screened", stats.cycles_floor_screened),
-        ("engine.cycles_hop_screened", stats.cycles_hop_screened),
-        (
-            "engine.cycles_degenerate_skipped",
-            stats.cycles_degenerate_skipped,
-        ),
-        ("engine.screen_delta_updates", stats.screen_delta_updates),
-        ("engine.screen_resummations", stats.screen_resummations),
-        ("engine.scratch_grow_events", stats.scratch_grow_events),
-        ("engine.dirty_bitset_capacity", stats.dirty_bitset_capacity),
+/// The counters of `stats`, with the wall-clock fields zeroed so two
+/// runs compare equal.
+fn runtime_counters(stats: &RuntimeStats) -> RuntimeStats {
+    RuntimeStats {
+        last_merge_nanos: 0,
+        total_merge_nanos: 0,
+        last_tick_nanos: 0,
+        total_tick_nanos: 0,
+        ..*stats
+    }
+}
+
+/// Asserts every `runtime.*` instrument in `snapshot` equals its
+/// `RuntimeStats` source field.
+fn assert_runtime_stats_mirrored(snapshot: &RegistrySnapshot, stats: &RuntimeStats) {
+    let expected: [(&str, usize); 7] = [
+        ("runtime.ticks", stats.ticks),
+        ("runtime.events_routed", stats.events_routed),
+        ("runtime.broadcasts", stats.broadcasts),
+        ("runtime.rebuilds", stats.rebuilds),
+        ("runtime.rebalances", stats.rebalances),
+        ("runtime.shard_refreshes", stats.shard_refreshes),
+        ("runtime.merge_cache_hits", stats.merge_cache_hits),
     ];
     for (metric, legacy) in expected {
         assert_eq!(
             snapshot.counter(metric),
             Some(legacy as u64),
-            "{metric} diverged from StreamStats"
+            "{metric} diverged from RuntimeStats"
         );
     }
+    assert_eq!(
+        snapshot.gauge("runtime.merged_opportunities"),
+        Some(stats.merged_opportunities as f64)
+    );
+}
+
+/// Asserts every `ingest.*` instrument in `snapshot` equals its
+/// `IngestStats` source field.
+fn assert_ingest_stats_mirrored(snapshot: &RegistrySnapshot, stats: &IngestStats) {
+    let expected: [(&str, u64); 7] = [
+        ("ingest.events_in", stats.events_in),
+        ("ingest.events_out", stats.events_out),
+        ("ingest.coalesced_away", stats.coalesced_away),
+        ("ingest.batches_sealed", stats.batches_sealed),
+        ("ingest.batches_delivered", stats.batches_delivered),
+        ("ingest.degraded_merges", stats.degraded_merges),
+        ("ingest.depth_high_water", stats.depth_high_water as u64),
+    ];
+    for (metric, legacy) in expected {
+        assert_eq!(
+            snapshot.counter(metric),
+            Some(legacy),
+            "{metric} diverged from IngestStats"
+        );
+    }
+    assert_eq!(
+        snapshot.gauge("ingest.coalesce_ratio"),
+        Some(stats.coalesce_ratio())
+    );
 }
 
 #[test]
-fn streaming_bot_registry_reproduces_stream_stats_without_perturbing_decisions() {
-    let config = BotConfig {
-        mode: ScanMode::Streaming,
-        ..BotConfig::default()
-    };
-    let feed = paper_feed();
-
+fn bot_obs_mirrors_runtime_and_ingest_stats_without_perturbing_decisions() {
     let run = |instrument: bool| {
         let mut chain = paper_chain();
+        let mut bot = ArbBot::new(&mut chain, &paper_feed(), BotConfig::default()).unwrap();
         let whale = chain.create_account();
         chain.mint(whale, t(0), to_raw(1_000.0));
-        let mut bot = ArbBot::new(&mut chain, config);
         if instrument {
             bot.enable_observability(ObsConfig::default());
         }
         let mut actions = Vec::new();
         for block in 0..BLOCKS {
             perturb_and_mine(&mut chain, whale, block);
-            let action = bot.step(&mut chain, &feed).unwrap();
+            let action = bot
+                .step(&mut chain, &[(t(1), 10.2 + 0.05 * block as f64)])
+                .unwrap();
             actions.push(action_bits(&action));
             chain.mine_block();
         }
-        let stats = *bot.stream_stats().expect("streaming mode ran");
+        let runtime = *bot.runtime().stats();
+        let screen = bot.runtime().screen_totals();
+        let ingest = bot.ingest_stats();
         let snapshot = bot.obs().map(|obs| obs.snapshot());
         let metrics = bot.metrics();
-        (actions, stats, snapshot, metrics)
+        (actions, runtime, screen, ingest, snapshot, metrics)
     };
 
-    let (plain_actions, plain_stats, none_snapshot, none_metrics) = run(false);
+    let (plain_actions, plain_runtime, plain_screen, plain_ingest, none_snapshot, none_metrics) =
+        run(false);
     assert!(none_snapshot.is_none() && none_metrics.is_none());
-    let (obs_actions, obs_stats, snapshot, metrics) = run(true);
+    let (obs_actions, obs_runtime, obs_screen, obs_ingest, snapshot, metrics) = run(true);
 
     // The observer observed: decisions and legacy stats are untouched.
     assert_eq!(
@@ -156,45 +164,58 @@ fn streaming_bot_registry_reproduces_stream_stats_without_perturbing_decisions()
         "instrumentation changed decisions"
     );
     assert_eq!(
-        plain_stats, obs_stats,
-        "instrumentation changed StreamStats"
+        runtime_counters(&plain_runtime),
+        runtime_counters(&obs_runtime),
+        "instrumentation changed RuntimeStats"
     );
-    assert!(
-        obs_stats.events_applied > 0,
-        "scenario exercised the engine"
-    );
-    assert!(obs_stats.strategy_evaluations > 0);
-
-    // One exported snapshot reproduces the legacy display.
-    let snapshot = snapshot.unwrap();
-    assert_stream_stats_mirrored(&snapshot, &obs_stats);
     assert_eq!(
-        snapshot.histogram("engine.refresh.eval_ns").unwrap().count,
-        obs_stats.refreshes as u64,
-        "one refresh span per refresh pass"
+        plain_screen, obs_screen,
+        "instrumentation changed ScreenTotals"
+    );
+    assert_eq!(
+        plain_ingest, obs_ingest,
+        "instrumentation changed IngestStats"
+    );
+    assert_eq!(obs_runtime.ticks, BLOCKS, "one sealed block per step");
+    assert!(
+        obs_runtime.events_routed > 0,
+        "scenario exercised the runtime"
+    );
+    assert!(obs_screen.strategy_evaluations > 0);
+
+    // One exported snapshot reproduces the legacy displays.
+    let snapshot = snapshot.unwrap();
+    assert_runtime_stats_mirrored(&snapshot, &obs_runtime);
+    assert_ingest_stats_mirrored(&snapshot, &obs_ingest);
+    assert_eq!(
+        snapshot.counter("engine.strategy_evaluations"),
+        Some(obs_screen.strategy_evaluations as u64),
+        "engine.* sums the shard engines"
+    );
+    assert_eq!(
+        snapshot.histogram("runtime.tick_ns").unwrap().count,
+        BLOCKS as u64,
+        "one tick span per step"
     );
     assert_eq!(snapshot.counter("bot.steps"), Some(BLOCKS as u64));
 
     // And the pull surface renders the same numbers.
     let metrics = metrics.unwrap();
-    assert!(metrics.contains(&format!(
-        "engine_events_applied {}\n",
-        obs_stats.events_applied
-    )));
+    assert!(metrics.contains(&format!("runtime_ticks {BLOCKS}\n")));
     assert!(metrics.contains(&format!("bot_steps {BLOCKS}\n")));
 }
 
 #[test]
 fn ingest_bot_registry_reproduces_ingest_stats_without_perturbing_decisions() {
-    let run = |instrument: bool, scratch: &Scratch| {
+    let run = |instrument: bool, scratch: &TestDir| {
         let mut chain = paper_chain();
         let whale = chain.create_account();
         chain.mint(whale, t(0), to_raw(1_000.0));
-        let mut bot = IngestBot::attach(
+        let mut bot = ArbBot::attach(
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
-            JournalSettings::new(&scratch.0),
+            JournalSettings::new(scratch.path()),
             IngestConfig::default(),
         )
         .unwrap();
@@ -202,7 +223,7 @@ fn ingest_bot_registry_reproduces_ingest_stats_without_perturbing_decisions() {
             bot.enable_observability(ObsConfig {
                 // Keep this run's hook out of the process: hooks are
                 // global and another test binary owns that behavior.
-                panic_dump_dir: Some(scratch.0.join("unused-dump-dir")),
+                panic_dump_dir: Some(scratch.path().join("unused-dump-dir")),
                 ..ObsConfig::default()
             });
         }
@@ -221,8 +242,8 @@ fn ingest_bot_registry_reproduces_ingest_stats_without_perturbing_decisions() {
         (actions, stats, batches, snapshot)
     };
 
-    let plain_scratch = Scratch::new("plain");
-    let obs_scratch = Scratch::new("obs");
+    let plain_scratch = TestDir::new("plain");
+    let obs_scratch = TestDir::new("obs");
     let (plain_actions, plain_stats, plain_batches, _) = run(false, &plain_scratch);
     let (obs_actions, obs_stats, obs_batches, snapshot) = run(true, &obs_scratch);
 
@@ -238,26 +259,7 @@ fn ingest_bot_registry_reproduces_ingest_stats_without_perturbing_decisions() {
     assert!(obs_stats.events_in > 0, "scenario exercised the front-end");
 
     let snapshot = snapshot.unwrap();
-    let expected: [(&str, u64); 7] = [
-        ("ingest.events_in", obs_stats.events_in),
-        ("ingest.events_out", obs_stats.events_out),
-        ("ingest.coalesced_away", obs_stats.coalesced_away),
-        ("ingest.batches_sealed", obs_stats.batches_sealed),
-        ("ingest.batches_delivered", obs_stats.batches_delivered),
-        ("ingest.degraded_merges", obs_stats.degraded_merges),
-        ("ingest.depth_high_water", obs_stats.depth_high_water as u64),
-    ];
-    for (metric, legacy) in expected {
-        assert_eq!(
-            snapshot.counter(metric),
-            Some(legacy),
-            "{metric} diverged from IngestStats"
-        );
-    }
-    assert_eq!(
-        snapshot.gauge("ingest.coalesce_ratio"),
-        Some(obs_stats.coalesce_ratio())
-    );
+    assert_ingest_stats_mirrored(&snapshot, &obs_stats);
     // Every applied batch timed one apply span and one e2e latency.
     assert_eq!(
         snapshot.histogram("ingest.apply_ns").unwrap().count,

@@ -1,5 +1,5 @@
-//! Crash post-mortem coverage: the panic hook installed by
-//! `IngestBot::enable_observability` must dump the flight recorder to
+//! Crash post-mortem coverage: the panic hook a journaled `ArbBot`
+//! installs in `enable_observability` must dump the flight recorder to
 //! the journal directory, the dump must parse as JSON-lines, and it
 //! must cover the final tick the process died on (the newest
 //! `ingest.tick` mark carries the last applied batch index).
@@ -7,30 +7,15 @@
 //! Panic hooks are process-global, so this test lives in its own
 //! integration-test binary.
 
+mod support;
+
 use std::fs;
-use std::path::PathBuf;
 
 use arbloops::prelude::*;
+use support::TestDir;
 
 fn t(i: u32) -> TokenId {
     TokenId::new(i)
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("arbloops-obsdump-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
 }
 
 fn paper_chain() -> Chain {
@@ -67,21 +52,21 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
 
 #[test]
 fn panic_dump_parses_and_covers_the_final_tick() {
-    let scratch = Scratch::new("crash");
+    let scratch = TestDir::new("crash");
     let mut chain = paper_chain();
     let whale = chain.create_account();
     chain.mint(whale, t(0), to_raw(1_000.0));
 
-    // Silence the default hook first: enable_observability chains
-    // whatever hook is installed, so the deliberate panic below won't
+    // Silence the default hook first: the flight-dump hook delegates to
+    // whatever hook it replaces, so the deliberate panic below won't
     // spray a backtrace into the test output.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let mut bot = IngestBot::attach(
+    let mut bot = ArbBot::attach(
         &mut chain,
         &paper_feed(),
         BotConfig::default(),
-        JournalSettings::new(&scratch.0),
+        JournalSettings::new(scratch.path()),
         IngestConfig::default(),
     )
     .unwrap();
@@ -108,7 +93,7 @@ fn panic_dump_parses_and_covers_the_final_tick() {
     let crash = std::panic::catch_unwind(|| panic!("simulated crash"));
     assert!(crash.is_err());
 
-    let dump_path = bot.journal_dir().join("flight-recorder.jsonl");
+    let dump_path = scratch.path().join("flight-recorder.jsonl");
     let dump = fs::read_to_string(&dump_path).expect("panic hook wrote the flight dump");
 
     let mut newest_tick = None;

@@ -694,16 +694,12 @@ mod tests {
         assert!(stats.ticks >= 2, "{stats}");
         assert!(stats.events_routed > 0, "{stats}");
 
-        // Telemetry one-liners: screen totals and the per-shard loads.
+        // Telemetry one-liner: the fleet's screen totals.
         let totals = bot.runtime().screen_totals();
         let line = totals.to_string();
         assert!(line.contains("screened"), "{line}");
         assert!(!line.contains('\n'));
-        let loads = bot.runtime().shard_loads();
-        assert_eq!(loads.window_events.len(), 2);
-        assert!(loads.window_events.iter().sum::<u64>() > 0, "{loads}");
-        assert_eq!(loads.rebalances, 0);
-        assert!(!loads.to_string().contains('\n'));
+        assert_eq!(bot.runtime().shard_count(), 2, "the partition is static");
     }
 
     #[test]

@@ -130,8 +130,8 @@ impl SupervisedBot {
     }
 
     /// The recovery protocol: dump the flight trail, let the bot
-    /// rebuild itself from the journal, and count the recovery in the
-    /// rebuilt bot's fresh registry.
+    /// rebuild itself from the journal, and carry the lifetime recovery
+    /// count into the rebuilt bot's fresh registry.
     fn restart(&mut self, chain: &mut Chain) -> Result<(), BotError> {
         // The obs panic hook (when installed) already dumped at panic
         // time; dump again explicitly so the trail exists even when the
@@ -141,10 +141,9 @@ impl SupervisedBot {
         }
         self.bot.rebuild(chain)?;
         if let Some(obs) = self.bot.obs() {
-            obs.registry().counter("bot.recoveries").inc();
             obs.registry()
-                .gauge("bot.recoveries.total")
-                .set(f64::from(self.recoveries));
+                .counter("bot.recoveries")
+                .add(u64::from(self.recoveries));
         }
         Ok(())
     }
@@ -261,6 +260,43 @@ mod tests {
         );
         let snapshot = bot.bot().obs().expect("obs re-enabled").snapshot();
         assert_eq!(snapshot.counter("bot.recoveries"), Some(1));
+    }
+
+    #[test]
+    fn recovery_counter_is_cumulative_across_rebuilds() {
+        let dir = TestDir::new("panic-twice");
+        let mut chain = paper_chain();
+        let whale = funded_whale(&mut chain);
+        let mut bot = SupervisedBot::attach(
+            &mut chain,
+            &paper_feed(),
+            BotConfig::default(),
+            settings(&dir),
+            IngestConfig::default(),
+            8,
+        )
+        .unwrap();
+        bot.bot_mut().enable_observability(ObsConfig::default());
+        let injector = Arc::new(ChaosInjector::new(panic_plan(2..5)));
+        bot.bot_mut()
+            .set_tick_hook(Arc::new(ChaosTickHook::new(Arc::clone(&injector))));
+
+        drive(&mut chain, whale, 0..8, |chain, moves| {
+            bot.step(chain, moves).unwrap()
+        });
+
+        assert!(
+            bot.recoveries() >= 2,
+            "the panic window must force repeated recoveries, saw {}",
+            bot.recoveries()
+        );
+        // Each rebuild starts a fresh registry; the counter must still
+        // read the lifetime total, not just the last recovery.
+        let snapshot = bot.bot().obs().expect("obs re-enabled").snapshot();
+        assert_eq!(
+            snapshot.counter("bot.recoveries"),
+            Some(u64::from(bot.recoveries()))
+        );
     }
 
     #[test]

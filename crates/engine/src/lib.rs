@@ -75,8 +75,5 @@ pub use pipeline::{
     SnapshotPrices,
 };
 pub use ranking::{RankByGrossProfit, RankByNetProfit, RankByProfitPerHop, RankingPolicy};
-pub use runtime::{
-    RebalanceConfig, RuntimeReport, RuntimeStats, RuntimeTelemetry, ScreenTotals, ShardLoads,
-    ShardedRuntime, TickHook,
-};
+pub use runtime::{RuntimeReport, RuntimeStats, ScreenTotals, ShardedRuntime, TickHook};
 pub use streaming::{StreamReport, StreamStats, StreamingEngine};

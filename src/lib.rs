@@ -103,9 +103,8 @@ pub mod prelude {
     };
     pub use arb_engine::{
         ArbitrageOpportunity, EngineCheckpoint, EngineError, OpportunityPipeline, PipelineConfig,
-        PipelineReport, RankingPolicy, RebalanceConfig, RuntimeCheckpoint, RuntimeReport,
-        RuntimeStats, RuntimeTelemetry, ScreenTotals, ShardLoads, ShardedRuntime, StreamReport,
-        StreamStats, StreamingEngine, TickHook,
+        PipelineReport, RankingPolicy, RuntimeCheckpoint, RuntimeReport, RuntimeStats,
+        ScreenTotals, ShardedRuntime, StreamReport, StreamStats, StreamingEngine, TickHook,
     };
     pub use arb_graph::{Cycle, CycleId, CycleIndex, Partition, SyncOutcome, TokenGraph};
     pub use arb_ingest::{

@@ -79,12 +79,11 @@ fn runtime_counters(stats: &RuntimeStats) -> RuntimeStats {
 /// Asserts every `runtime.*` instrument in `snapshot` equals its
 /// `RuntimeStats` source field.
 fn assert_runtime_stats_mirrored(snapshot: &RegistrySnapshot, stats: &RuntimeStats) {
-    let expected: [(&str, usize); 7] = [
+    let expected: [(&str, usize); 6] = [
         ("runtime.ticks", stats.ticks),
         ("runtime.events_routed", stats.events_routed),
         ("runtime.broadcasts", stats.broadcasts),
         ("runtime.rebuilds", stats.rebuilds),
-        ("runtime.rebalances", stats.rebalances),
         ("runtime.shard_refreshes", stats.shard_refreshes),
         ("runtime.merge_cache_hits", stats.merge_cache_hits),
     ];

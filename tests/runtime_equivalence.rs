@@ -7,6 +7,9 @@
 //! same winning strategies, same gross/net profits, same order. Sharding
 //! is an execution strategy — routing, per-shard engines, broadcasts,
 //! rebuilds, and the k-way merge may never change a single bit of output.
+//! Halfway through each stream the runtime is also checkpointed and
+//! restored into a fresh fleet, which must stay bit-identical to the
+//! single engine on every later tick.
 
 use arbloops::prelude::*;
 use arbloops::workloads::ScenarioConfig;
@@ -46,11 +49,14 @@ fn assert_reports_identical(
     }
 }
 
-/// Replays one workload into both engines, comparing after every tick.
+/// Replays one workload into both engines, comparing after every tick,
+/// and from mid-stream on into a fleet restored from the runtime's
+/// checkpoint.
 fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: PipelineConfig) {
     let spec = arbloops::workloads::find(workload).expect("workload in catalog");
     let scenario = spec.scenario(config).expect("scenario generates");
     let mut feed = scenario.feed.clone();
+    let halfway = scenario.ticks.len() / 2;
 
     let mut single = StreamingEngine::new(
         OpportunityPipeline::new(pipeline_config),
@@ -78,8 +84,16 @@ fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: Pipe
         &cold_single.opportunities,
     );
 
+    let mut restored: Option<ShardedRuntime> = None;
     let mut nonempty_ticks = 0usize;
     for (tick, batch) in scenario.ticks.iter().enumerate() {
+        if tick == halfway {
+            let checkpoint = runtime.checkpoint();
+            restored = Some(
+                ShardedRuntime::restore(OpportunityPipeline::new(pipeline_config), &checkpoint)
+                    .expect("restore"),
+            );
+        }
         batch.apply_feed(&mut feed);
         let expected = single
             .apply_events(&batch.events, &feed)
@@ -93,6 +107,17 @@ fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: Pipe
             &merged.opportunities,
             &expected.opportunities,
         );
+        if let Some(fleet) = restored.as_mut() {
+            let back = fleet
+                .apply_events(&batch.events, &feed)
+                .expect("restored runtime tick");
+            assert_reports_identical(
+                &format!("{workload} (restored)"),
+                tick + 1,
+                &back.opportunities,
+                &expected.opportunities,
+            );
+        }
         if !merged.opportunities.is_empty() {
             nonempty_ticks += 1;
         }

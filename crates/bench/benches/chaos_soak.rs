@@ -1,13 +1,13 @@
 //! Chaos-soak pass: the five catalog workloads driven through the full
 //! journaled ingest pipeline under the standard all-sites fault plan
 //! (source outages, garbage feed data, journal write/fsync/torn/ENOSPC
-//! failures, a slow shard, one mid-tick panic per run).
+//! failures, a slow tick, one mid-tick panic per run).
 //!
 //! The pass **asserts** that every workload reconverges — the post-fault
 //! final ranking is bit-identical to a never-faulted oracle's — and
 //! that the quiet tail drains the journal backlog to zero. What it
 //! *measures* is the cost of a supervised recovery: the wall time from
-//! catching a shard panic to the rebuilt pipeline being live again
+//! catching a mid-tick panic to the rebuilt pipeline being live again
 //! (journal backlog flush + snapshot restore + replay + rewire).
 //!
 //! The JSON lines feed `BENCH_chaos.json`; CI's trend gate fails the
@@ -17,7 +17,8 @@
 use std::path::PathBuf;
 
 use arb_bench::json::JsonLine;
-use arb_chaos::{percentile, run_soak, standard_plan, SoakConfig, SoakOutcome};
+use arb_bench::percentile_ns;
+use arb_chaos::{run_soak, standard_plan, SoakConfig, SoakOutcome};
 use arb_workloads::{find, ScenarioConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -114,8 +115,14 @@ fn chaos_pass(_c: &mut Criterion) {
             .count("runs", SEEDS_PER_WORKLOAD as usize)
             .count("faults", faults)
             .int("recoveries", recoveries)
-            .int("recovery_p50_ns", percentile(&workload_recovery_ns, 50))
-            .int("recovery_p99_ns", percentile(&workload_recovery_ns, 99))
+            .int(
+                "recovery_p50_ns",
+                percentile_ns(&workload_recovery_ns, 0.50),
+            )
+            .int(
+                "recovery_p99_ns",
+                percentile_ns(&workload_recovery_ns, 0.99),
+            )
             .text("reconverged", "true")
             .emit();
 
@@ -132,8 +139,8 @@ fn chaos_pass(_c: &mut Criterion) {
         .count("runs", workloads.len() * SEEDS_PER_WORKLOAD as usize)
         .count("faults", total_faults)
         .int("recoveries", total_recoveries)
-        .int("recovery_p50_ns", percentile(&all_recovery_ns, 50))
-        .int("recovery_p99_ns", percentile(&all_recovery_ns, 99))
+        .int("recovery_p50_ns", percentile_ns(&all_recovery_ns, 0.50))
+        .int("recovery_p99_ns", percentile_ns(&all_recovery_ns, 0.99))
         .text("reconverged", "true")
         .emit();
 }

@@ -2,7 +2,7 @@
 //!
 //! The question this bench answers: what does putting the `arb-ingest`
 //! stage pipeline (stage → seal → journal → coalesce → bounded queue →
-//! apply) between the event sources and the sharded engine *cost*, and
+//! apply) between the event sources and the engine *cost*, and
 //! what does coalescing *buy*? Two catalog workloads at the soak
 //! operating point (600 pools, intensity 2.0):
 //!
@@ -43,7 +43,6 @@ use arb_workloads::{find, Scenario, ScenarioConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const POOLS: usize = 600;
-const SHARDS: usize = 4;
 const TICKS: usize = 48;
 /// The lagged leg drains once per this many sealed blocks. Eight ticks
 /// spans several of the flood's drain→revive cycles (two ticks apart),
@@ -67,9 +66,9 @@ fn runtime(scenario: &Scenario) -> ShardedRuntime {
     ShardedRuntime::new(
         OpportunityPipeline::new(PipelineConfig::default()),
         scenario.pools.clone(),
-        SHARDS,
+        1,
     )
-    .expect("sharded runtime")
+    .expect("runtime")
 }
 
 /// A scratch journal directory, removed on drop.
@@ -262,7 +261,6 @@ fn run_workload(workload: &'static str, seed: u64) {
     JsonLine::bench("ingest_latency")
         .text("workload", workload)
         .count("pools", POOLS)
-        .count("shards", SHARDS)
         .count("ticks", TICKS)
         .int("e2e_p50_ns", e2e_p50)
         .int("e2e_p99_ns", e2e_p99)

@@ -10,8 +10,8 @@
 //!   mid-stream snapshot and replay the journal suffix back to a
 //!   standing ranking, versus replaying the whole stream from genesis.
 //!
-//! The harness replays the `whale-bursts` workload at 600 pools / 4
-//! shards, snapshots halfway, crashes, and recovers — asserting the
+//! The harness replays the `whale-bursts` workload at 600 pools,
+//! snapshots halfway, crashes, and recovers — asserting the
 //! recovered ranking is bit-identical to the uninterrupted run and that
 //! the snapshot path replays strictly fewer events than genesis. The
 //! JSON counter line feeds the `BENCH_journal.json` trend artifact.
@@ -28,7 +28,6 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 const POOLS: usize = 600;
 const TOKENS: usize = 240;
 const DOMAINS: usize = 4;
-const SHARDS: usize = 4;
 const TICKS: usize = 48;
 
 fn scenario() -> Scenario {
@@ -111,8 +110,7 @@ fn journal_counters(_c: &mut Criterion) {
     // Live run: journal everything, checkpoint at the halfway tick.
     let mut writer = JournalWriter::open(&dir, journal_config()).expect("writer");
     let store = SnapshotStore::new(&dir).expect("store");
-    let mut runtime =
-        ShardedRuntime::new(pipeline(), scenario.pools.clone(), SHARDS).expect("runtime");
+    let mut runtime = ShardedRuntime::new(pipeline(), scenario.pools.clone(), 1).expect("runtime");
     let mut feed = scenario.feed.clone();
     let mut last_live = Vec::new();
     let mut snapshot_offset = 0u64;
@@ -140,7 +138,7 @@ fn journal_counters(_c: &mut Criterion) {
 
     // Snapshot recovery.
     let recovery_start = Instant::now();
-    let recovered = Recovery::new(&dir, pipeline(), SHARDS)
+    let recovered = Recovery::new(&dir, pipeline(), 1)
         .with_genesis_pools(scenario.pools.clone())
         .with_genesis_feed(feed.clone())
         .recover_journaled()
@@ -161,7 +159,7 @@ fn journal_counters(_c: &mut Criterion) {
         fs::remove_file(path).expect("remove snapshot");
     }
     let genesis_start = Instant::now();
-    let genesis = Recovery::new(&dir, pipeline(), SHARDS)
+    let genesis = Recovery::new(&dir, pipeline(), 1)
         .with_genesis_pools(scenario.pools.clone())
         .with_genesis_feed(feed.clone())
         .recover_journaled()
@@ -175,12 +173,11 @@ fn journal_counters(_c: &mut Criterion) {
 
     let append_events_per_s = total_events as f64 / (append_ns.max(1) as f64 / 1e9);
     println!(
-        "{{\"bench\":\"journal\",\"pools\":{},\"shards\":{},\"ticks\":{},\
+        "{{\"bench\":\"journal\",\"pools\":{},\"ticks\":{},\
          \"events\":{},\"append_ns\":{},\"append_events_per_s\":{:.0},\
          \"wall_ns\":{},\"snapshot_offset\":{},\"events_replayed\":{},\
          \"recovery_ns\":{},\"genesis_events_replayed\":{},\"genesis_ns\":{}}}",
         POOLS,
-        SHARDS,
         TICKS,
         total_events,
         append_ns,

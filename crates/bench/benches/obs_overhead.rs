@@ -5,11 +5,11 @@
 //! timers are two `Instant` reads plus three histogram RMWs, and the
 //! flight recorder is a fixed ring with no allocation on the record
 //! path. This bench measures the claim end to end on the whale-bursts
-//! workload at the soak operating point (600 pools, 4 shards,
-//! intensity 2.0): the identical tick stream is replayed through the
-//! ingest front-end + sharded fleet twice per round — once bare, once
-//! with the full observability layer wired (`Ingestor::set_obs` +
-//! `IngestDriver::set_obs`, which cascades into every shard engine) —
+//! workload at the soak operating point (600 pools, intensity 2.0):
+//! the identical tick stream is replayed through the ingest front-end +
+//! runtime twice per round — once bare, once with the full
+//! observability layer wired (`Ingestor::set_obs` +
+//! `IngestDriver::set_obs`, which cascades into the engine) —
 //! and the per-tick seal→rankings-updated latency is sampled.
 //!
 //! Legs alternate within each round so thermal drift and cache state
@@ -38,7 +38,6 @@ use arb_workloads::{find, Scenario, ScenarioConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const POOLS: usize = 600;
-const SHARDS: usize = 4;
 const TICKS: usize = 48;
 /// Rounds per leg; round 0 is warm-up and contributes no samples.
 const ROUNDS: usize = 6;
@@ -59,9 +58,9 @@ fn runtime(scenario: &Scenario) -> ShardedRuntime {
     ShardedRuntime::new(
         OpportunityPipeline::new(PipelineConfig::default()),
         scenario.pools.clone(),
-        SHARDS,
+        1,
     )
-    .expect("sharded runtime")
+    .expect("runtime")
 }
 
 struct Leg {
@@ -234,7 +233,6 @@ fn obs_pass(_c: &mut Criterion) {
     JsonLine::bench("obs_overhead")
         .text("workload", "whale-bursts")
         .count("pools", POOLS)
-        .count("shards", SHARDS)
         .count("ticks", TICKS)
         .count("rounds", ROUNDS - 1)
         .int("bare_p50_ns", bare_p50)

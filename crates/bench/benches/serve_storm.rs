@@ -1,7 +1,7 @@
 //! Serve storm: lock-free snapshot serving under whale-burst write load.
 //!
-//! The workload is the catalog's `whale-bursts` entry at 600 pools — the
-//! same operating point as `sharded_soak` — streamed through a
+//! The workload is the catalog's `whale-bursts` entry at 600 pools,
+//! streamed through a
 //! [`ServeRuntime`] while governed reader threads hammer the published
 //! [`RankedSnapshot`]s with the deterministic query plans from
 //! [`ReadStormProfile`]. Two measured phases replay the identical tick
@@ -44,7 +44,6 @@ use arb_workloads::{find, QueryOp, ReadStormProfile, ReaderPlan, Scenario, Scena
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const POOLS: usize = 600;
-const SHARDS: usize = 4;
 const TICKS: usize = 48;
 const READERS: usize = 4;
 /// Full tick-stream replays per measured phase.
@@ -86,8 +85,7 @@ fn serve_runtime(scenario: &Scenario, governor: GovernorConfig) -> ServeRuntime 
         top_k: Some(16),
         ..PipelineConfig::default()
     });
-    let runtime =
-        ShardedRuntime::new(pipeline, scenario.pools.clone(), SHARDS).expect("sharded runtime");
+    let runtime = ShardedRuntime::new(pipeline, scenario.pools.clone(), 1).expect("runtime");
     let mut serve = ServeRuntime::new(runtime, governor);
     serve.refresh(&scenario.feed).expect("cold start");
     serve
@@ -225,7 +223,6 @@ fn storm_pass(_c: &mut Criterion) {
 
     JsonLine::bench("serve_storm")
         .count("pools", POOLS)
-        .count("shards", SHARDS)
         .count("readers", READERS)
         .count("quiet_ticks", quiet_tick_ns.len())
         .count("storm_ticks", storm_tick_ns.len())

@@ -1,4 +1,4 @@
-//! 10k-pool soak: batch cold-start screening + sharded streaming.
+//! 10k-pool soak: batch cold-start screening + the streaming runtime.
 //!
 //! The workload is the catalog's `whale-bursts` entry sized to 10,000
 //! pools through the shared [`ScenarioConfig::sized`] knob — the 10k–100k
@@ -10,10 +10,10 @@
 //!   screening (log-sum + pool/per-hop floor bounds) classifies **≥ 50%
 //!   fewer cycles** than the unscreened path.
 //! * **stream**: the full tick stream through one `StreamingEngine` and
-//!   through a `ShardedRuntime` (static component-aligned shards, rebuilt
-//!   only when a new pool bridges two shards). Final rankings must be
-//!   bit-identical; per-tick latencies feed the `tick_p99_ns` counter
-//!   CI's trend gate watches (> 20% regression fails the build).
+//!   through the `ShardedRuntime` the live layers drive. Final rankings
+//!   must be bit-identical; the runtime's per-tick latencies feed the
+//!   `tick_p99_ns` counter CI's trend gate watches (> 20% regression
+//!   fails the build).
 //!
 //! The JSON line goes to `BENCH_soak.json` via the workflow's tee+grep.
 
@@ -29,9 +29,6 @@ use std::time::Instant;
 
 const POOLS: usize = 10_000;
 const TICKS: usize = 24;
-/// The shard cap. Shards hold whole components, so the realized count is
-/// `min(MAX_SHARDS, components)`.
-const MAX_SHARDS: usize = 6;
 
 fn scenario() -> Scenario {
     find("whale-bursts")
@@ -95,7 +92,7 @@ fn soak(_c: &mut Criterion) {
         - screened.stats.cycles_classified as f64
             / unscreened.stats.cycles_classified.max(1) as f64;
 
-    // --- Stream: single engine vs the sharded fleet. ---
+    // --- Stream: single engine vs the runtime. ---
     let mut feed = scenario.feed.clone();
     let mut single = StreamingEngine::new(
         OpportunityPipeline::new(config(true)),
@@ -118,22 +115,22 @@ fn soak(_c: &mut Criterion) {
     let mut runtime = ShardedRuntime::new(
         OpportunityPipeline::new(config(true)),
         scenario.pools.clone(),
-        MAX_SHARDS,
+        1,
     )
     .expect("runtime");
     runtime.refresh(&feed).expect("cold start");
     let mut tick_ns = Vec::with_capacity(TICKS);
-    let mut last_sharded = Vec::new();
+    let mut last_runtime = Vec::new();
     for batch in &scenario.ticks {
         batch.apply_feed(&mut feed);
         let start = Instant::now();
-        last_sharded = runtime
+        last_runtime = runtime
             .apply_events(&batch.events, &feed)
-            .expect("sharded tick")
+            .expect("runtime tick")
             .opportunities;
         tick_ns.push(start.elapsed().as_nanos() as u64);
     }
-    assert_identical("stream", &last_sharded, &last_single);
+    assert_identical("stream", &last_runtime, &last_single);
 
     let screen = runtime.screen_totals();
     let tick_p99_ns = percentile_ns(&tick_ns, 0.99);
@@ -141,11 +138,10 @@ fn soak(_c: &mut Criterion) {
     JsonLine::bench("soak_10k")
         .count("pools", POOLS)
         .count("ticks", TICKS)
-        .count("max_shards", MAX_SHARDS)
         .int("tick_p99_ns", tick_p99_ns)
         .int("tick_median_ns", tick_median_ns)
         .int("single_total_ns", single_total_ns)
-        .int("sharded_total_ns", tick_ns.iter().sum::<u64>())
+        .int("runtime_total_ns", tick_ns.iter().sum::<u64>())
         .int("cold_start_ns_screened", cold_screened_ns)
         .int("cold_start_ns_unscreened", cold_unscreened_ns)
         .count("cold_classified_screened", screened.stats.cycles_classified)
@@ -160,7 +156,6 @@ fn soak(_c: &mut Criterion) {
         .count("stream_screened_out", screen.cycles_screened_out)
         .count("stream_floor_screened", screen.cycles_floor_screened)
         .count("stream_hop_screened", screen.cycles_hop_screened)
-        .count("shards_final", runtime.shard_count())
         .emit();
 
     assert!(

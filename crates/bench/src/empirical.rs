@@ -54,10 +54,10 @@ impl EmpiricalStudy {
     }
 
     /// Strategy comparisons for every arbitrage loop of a length,
-    /// evaluated in parallel.
-    pub fn comparisons(&self, length: usize, workers: usize) -> Vec<LoopComparison> {
+    /// evaluated on the worker pool.
+    pub fn comparisons(&self, length: usize) -> Vec<LoopComparison> {
         let cases = self.loop_cases(length);
-        batch::compare_all_parallel(&cases, &CompareOptions::default(), workers)
+        batch::compare_all_parallel(&cases, &CompareOptions::default())
             .expect("strategy evaluation")
     }
 }
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn pipeline_produces_dominant_rows() {
         let study = EmpiricalStudy::build(&small_config());
-        let rows = study.comparisons(3, 4);
+        let rows = study.comparisons(3);
         assert!(!rows.is_empty(), "small market should have some loops");
         for row in &rows {
             assert!(

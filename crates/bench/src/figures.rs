@@ -338,7 +338,7 @@ fn dominance_scatter(
 
 /// Fig. 5 — Traditional (every rotation) vs MaxMax on the empirical census.
 pub fn fig5(study: &EmpiricalStudy) -> io::Result<String> {
-    let rows = study.comparisons(3, 8);
+    let rows = study.comparisons(3);
     let (chart, below, total) = dominance_scatter(
         "fig5_trad_vs_maxmax",
         "Fig.5: Traditional rotations vs MaxMax (all on/below the 45° line)",
@@ -360,7 +360,7 @@ pub fn fig5(study: &EmpiricalStudy) -> io::Result<String> {
 
 /// Fig. 6 — MaxPrice vs MaxMax on the empirical census.
 pub fn fig6(study: &EmpiricalStudy) -> io::Result<String> {
-    let rows = study.comparisons(3, 8);
+    let rows = study.comparisons(3);
     let (chart, below, total) = dominance_scatter(
         "fig6_maxprice_vs_maxmax",
         "Fig.6: MaxPrice vs MaxMax (points below the line = heuristic failures)",
@@ -376,7 +376,7 @@ pub fn fig6(study: &EmpiricalStudy) -> io::Result<String> {
 
 /// Fig. 7 — ConvexOpt vs MaxMax on the empirical census (≈ the diagonal).
 pub fn fig7(study: &EmpiricalStudy) -> io::Result<String> {
-    let rows = study.comparisons(3, 8);
+    let rows = study.comparisons(3);
     let (chart, below, total) = dominance_scatter(
         "fig7_convex_vs_maxmax_empirical",
         "Fig.7: MaxMax vs ConvexOpt (all points on/above the 45° line)",
@@ -395,7 +395,7 @@ pub fn fig7(study: &EmpiricalStudy) -> io::Result<String> {
 
 /// Fig. 8 — per-token net profits: MaxMax vs ConvexOpt points overlap.
 pub fn fig8(study: &EmpiricalStudy) -> io::Result<String> {
-    let rows = study.comparisons(3, 8);
+    let rows = study.comparisons(3);
     let mut csv_rows = Vec::new();
     let mut pts = Vec::new();
     let mut mean_abs_diff = 0.0;
@@ -438,7 +438,7 @@ pub fn fig8(study: &EmpiricalStudy) -> io::Result<String> {
 
 /// Fig. 9 — length-4 loops: Traditional rotations vs ConvexOpt.
 pub fn fig9(study: &EmpiricalStudy) -> io::Result<String> {
-    let rows = study.comparisons(4, 8);
+    let rows = study.comparisons(4);
     let (chart, below, total) = dominance_scatter(
         "fig9_len4_trad",
         "Fig.9: length-4 loops — Traditional vs ConvexOpt",
@@ -460,7 +460,7 @@ pub fn fig9(study: &EmpiricalStudy) -> io::Result<String> {
 
 /// Fig. 10 — length-4 loops: MaxMax vs ConvexOpt.
 pub fn fig10(study: &EmpiricalStudy) -> io::Result<String> {
-    let rows = study.comparisons(4, 8);
+    let rows = study.comparisons(4);
     let (chart, below, total) = dominance_scatter(
         "fig10_len4_maxmax",
         "Fig.10: length-4 loops — MaxMax vs ConvexOpt (≈ diagonal)",

@@ -1,5 +1,5 @@
 //! The bot's one step loop: stage the block's feed moves and chain
-//! events, seal them, apply the sealed block to the sharded runtime,
+//! events, seal them, apply the sealed block to the runtime,
 //! rank, and execute the best plan atomically.
 
 use std::sync::Arc;
@@ -74,7 +74,7 @@ pub enum BotAction {
 
 /// The bot's market view: the ingest front-end with one source for the
 /// CEX feed and one for the chain, the driver that applies each sealed
-/// block to the sharded runtime, and the bot's position in the chain's
+/// block to the runtime, and the bot's position in the chain's
 /// event log.
 #[derive(Debug)]
 pub(crate) struct MarketView {
@@ -118,7 +118,7 @@ impl MarketView {
         ingestor: Ingestor,
     ) -> Result<Self, BotError> {
         let graph = scanner::graph_from_chain(chain)?;
-        let runtime = ShardedRuntime::with_graph(pipeline_for(config), graph, config.shards)?;
+        let runtime = ShardedRuntime::with_graph(pipeline_for(config), graph)?;
         Ok(MarketView::new(ingestor, runtime, feed, chain.subscribe()))
     }
 
@@ -142,7 +142,7 @@ impl MarketView {
 /// and acts on every block. Durability is chosen by the constructor:
 /// [`ArbBot::new`] runs without a journal, [`ArbBot::attach`] and
 /// [`ArbBot::recover`] journal every sealed block and checkpoint the
-/// fleet (see [`crate::ingest_bot`]).
+/// runtime (see [`crate::ingest_bot`]).
 #[derive(Debug)]
 pub struct ArbBot {
     pub(crate) account: AccountId,
@@ -244,7 +244,7 @@ impl ArbBot {
     /// through every layer the bot owns — ingest sealing
     /// (`ingest.seal_ns` → `queue_ns` spans), the apply side
     /// (`ingest.apply_ns`, `ingest.e2e_ns`, per-batch `ingest.tick`
-    /// flight marks), the sharded runtime (`runtime.*`, `engine.*`),
+    /// flight marks), the runtime (`runtime.*`, `engine.*`),
     /// the serving publisher, and the bot's own `bot.step_ns` and step
     /// counters. A journaled bot defaults
     /// [`ObsConfig::panic_dump_dir`] to its journal directory, next to
@@ -295,7 +295,7 @@ impl ArbBot {
         }
     }
 
-    /// Installs an [`arb_engine::TickHook`] on the sharded runtime — the
+    /// Installs an [`arb_engine::TickHook`] on the runtime — the
     /// seam chaos tests use to inject slow ticks and mid-tick panics
     /// into a live bot. The bot re-installs it whenever it rebuilds its
     /// runtime.
@@ -350,8 +350,8 @@ impl ArbBot {
         &self.view.driver
     }
 
-    /// The sharded runtime behind the ranking: its stats, screen totals
-    /// and shard loads.
+    /// The runtime behind the ranking: its stats, screen totals and
+    /// engine.
     pub fn runtime(&self) -> &ShardedRuntime {
         self.view.driver.runtime()
     }
@@ -588,7 +588,7 @@ mod tests {
     #[test]
     fn bot_decides_like_a_per_step_discover_oracle() {
         // Same chain, same feed drift, same whale perturbations: the
-        // ingest-fed sharded bot must submit exactly what a full
+        // ingest-fed bot must submit exactly what a full
         // per-block rescan would.
         let mut chain = paper_chain();
         let mut bot = paper_bot(&mut chain, BotConfig::default());
@@ -655,7 +655,7 @@ mod tests {
     #[test]
     fn sharded_bot_tracks_events_and_reports_runtime_stats() {
         let mut chain = paper_chain();
-        // A second, disjoint triangle so the partition has two components.
+        // A second, disjoint triangle: two components in one engine.
         let fee = FeeRate::UNISWAP_V2;
         for (a, b) in [(3, 4), (4, 5), (5, 3)] {
             chain
@@ -664,21 +664,13 @@ mod tests {
         }
         let mut feed = paper_feed();
         feed.extend((3..6).map(|i| (t(i), 1.0)));
-        let mut bot = ArbBot::new(
-            &mut chain,
-            &feed,
-            BotConfig {
-                shards: 2,
-                ..BotConfig::default()
-            },
-        )
-        .unwrap();
+        let mut bot = ArbBot::new(&mut chain, &feed, BotConfig::default()).unwrap();
         assert_eq!(bot.runtime().stats().ticks, 0);
         bot.step(&mut chain, &[]).unwrap();
         chain.mine_block();
-        assert_eq!(bot.runtime().shard_count(), 2);
+        let applied = bot.runtime().engine().stats().events_applied;
 
-        // Whale flow between steps reaches the owning shard as events.
+        // Whale flow between steps reaches the engine as events.
         let whale = chain.create_account();
         chain.mint(whale, t(0), to_raw(50.0));
         chain.submit(Transaction::Swap {
@@ -692,14 +684,16 @@ mod tests {
         bot.step(&mut chain, &[]).unwrap();
         let stats = bot.runtime().stats();
         assert!(stats.ticks >= 2, "{stats}");
-        assert!(stats.events_routed > 0, "{stats}");
+        assert!(
+            bot.runtime().engine().stats().events_applied > applied,
+            "{stats}"
+        );
 
-        // Telemetry one-liner: the fleet's screen totals.
+        // Telemetry one-liner: the engine's screen totals.
         let totals = bot.runtime().screen_totals();
         let line = totals.to_string();
         assert!(line.contains("screened"), "{line}");
         assert!(!line.contains('\n'));
-        assert_eq!(bot.runtime().shard_count(), 2, "the partition is static");
     }
 
     #[test]
@@ -742,7 +736,6 @@ mod tests {
         let mut bot = paper_bot(&mut chain, BotConfig::default());
         // The view is built with the bot; the first step is its first
         // tick, not a cold start.
-        assert_eq!(bot.runtime().shard_count(), 1, "one component");
         assert_eq!(bot.runtime().screen_totals().strategy_evaluations, 0);
         assert_eq!(bot.driver().batches_applied(), 0);
         bot.step(&mut chain, &[]).unwrap();
@@ -763,9 +756,7 @@ mod tests {
             .add_pool(t(0), t(1), to_raw(90.0), to_raw(210.0), FeeRate::UNISWAP_V2)
             .unwrap();
         bot.step(&mut chain, &[]).unwrap();
-        let shards = bot.runtime().shard_stats();
-        assert_eq!(shards.len(), 1, "one component");
-        let stats = shards[0];
+        let stats = bot.runtime().engine().stats();
         assert_eq!(stats.pools_added, 1);
         assert!(stats.cycles_added > 0, "{stats}");
     }

@@ -31,9 +31,6 @@ pub struct BotConfig {
     /// evaluation stage (which uses all available cores); 1 forces the
     /// serial path. The exact value is not a thread-count bound.
     pub workers: usize,
-    /// Shard-count cap for the bot's sharded runtime (the realized count
-    /// is bounded by the universe's connected components).
-    pub shards: usize,
 }
 
 impl Default for BotConfig {
@@ -45,7 +42,6 @@ impl Default for BotConfig {
             method: Method::ClosedForm,
             convex: SolverOptions::default(),
             workers: 4,
-            shards: 4,
         }
     }
 }
@@ -61,6 +57,5 @@ mod tests {
         assert!(c.min_profit_usd > 0.0);
         assert_eq!(c.strategy, StrategyChoice::MaxMax);
         assert!(c.workers >= 1);
-        assert!(c.shards >= 1);
     }
 }

@@ -9,10 +9,10 @@
 //! * every block's sealed feed moves and chain events are journaled
 //!   **raw** before the driver applies them;
 //! * every [`JournalSettings::checkpoint_every_events`] staged events, a
-//!   checkpoint embeds the fleet, the price table and the per-source
+//!   checkpoint embeds the runtime, the price table and the per-source
 //!   stream positions, old snapshots are pruned and fully-snapshotted
 //!   segments compacted;
-//! * [`ArbBot::recover`] rebuilds the fleet *and* the feed from disk
+//! * [`ArbBot::recover`] rebuilds the runtime *and* the feed from disk
 //!   alone — no live price feed is needed to resume;
 //! * a runtime error surfaces as a [`BotError`] instead of the
 //!   journal-less bot's rescan fallback: the journal, not chain state,
@@ -206,8 +206,8 @@ impl ArbBot {
         account: Option<AccountId>,
     ) -> Result<Self, BotError> {
         let writer = settings.open_writer()?;
-        let recovered = Recovery::new(&settings.dir, pipeline_for(&config), config.shards)
-            .recover_journaled()?;
+        let recovered =
+            Recovery::new(&settings.dir, pipeline_for(&config), 1).recover_journaled()?;
 
         // Reconstruct per-source positions: the snapshot's recorded
         // counts (zeros on the genesis path) plus everything the replay
@@ -227,7 +227,7 @@ impl ArbBot {
         view.ingestor
             .restore_positions(&[feed_position, chain_position])?;
         // Catch up on blocks mined while the bot was down: journal and
-        // apply them now so the first step sees a current fleet.
+        // apply them now so the first step sees a current runtime.
         let missed = chain.drain_events(&mut view.cursor);
         if !missed.is_empty() {
             view.seal(&[], missed)?;
@@ -259,7 +259,7 @@ impl ArbBot {
         self.journal.as_ref().map_or(0, |j| j.checkpoints_taken)
     }
 
-    /// Writes a snapshot of the fleet — including the price table and
+    /// Writes a snapshot of the runtime — including the price table and
     /// per-source positions — at the journal's durable tail, prunes old
     /// snapshots, and compacts segments below the oldest retained one.
     /// Called automatically by [`ArbBot::step`]; public for shutdown
@@ -268,7 +268,7 @@ impl ArbBot {
     /// When the journal is running behind (events appended but not yet
     /// durably committed, e.g. while the writer is in degraded mode),
     /// the checkpoint is **deferred**: a snapshot taken now would claim
-    /// the fleet's state is durable at an offset the disk has not
+    /// the runtime's state is durable at an offset the disk has not
     /// reached. The due-counter is left alone so the next step retries.
     ///
     /// The writer locks tolerate poisoning: a panicked tick can never
@@ -489,7 +489,7 @@ mod tests {
             reader.base_offset()
         );
         // And recovery still works over the compacted journal…
-        let recovery = Recovery::new(dir.path(), pipeline_for(&BotConfig::default()), 4);
+        let recovery = Recovery::new(dir.path(), pipeline_for(&BotConfig::default()), 1);
         let recovered = recovery.recover_journaled().unwrap();
         assert_eq!(recovered.stats.snapshot_offset, Some(*newest));
         // …including when the newest snapshot rots: the retained older

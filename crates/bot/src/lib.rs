@@ -21,7 +21,7 @@
 //!   rank, execute), serving and observability;
 //! * [`ingest_bot`] — the journal a bot is built with by
 //!   [`ArbBot::attach`] / [`ArbBot::recover`]: every sealed block
-//!   journaled raw, periodic fleet checkpoints, feed-free crash
+//!   journaled raw, periodic runtime checkpoints, feed-free crash
 //!   recovery via `arb-journal`. [`ArbBot::new`] builds the same bot
 //!   without one;
 //! * [`supervisor`] — panic supervision over a journaled bot: catch a

@@ -4,7 +4,7 @@
 //! A bot — journaled or not, supervised or not — attaches through
 //! [`crate::ArbBot::enable_observability`], which builds one
 //! [`arb_obs::Obs`] handle and threads it through every layer the bot
-//! owns (ingest front-end, driver, sharded runtime, publisher). The bot
+//! owns (ingest front-end, driver, runtime, publisher). The bot
 //! then exposes:
 //!
 //! * `obs()` — the shared handle, for snapshots and flight dumps;

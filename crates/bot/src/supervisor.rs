@@ -6,8 +6,8 @@
 //! story. The layers below it already turn *partial* failures into
 //! degraded-but-correct operation (source health quarantine, journal
 //! write retry with append-side buffering, checkpoint deferral); what
-//! remains is the failure that kills the tick itself — a panic inside a
-//! shard worker. The supervisor turns that into a bounded outage:
+//! remains is the failure that kills the tick itself — a panic inside
+//! the runtime's tick. The supervisor turns that into a bounded outage:
 //!
 //! 1. the panic is caught at the step boundary ([`std::panic::catch_unwind`]);
 //! 2. the flight recorder (when observability is on) is dumped next to
@@ -15,7 +15,7 @@
 //!    process does not die;
 //! 3. the bot rebuilds itself from the journal — same account, same
 //!    journal directory — replaying the durable stream into a fresh
-//!    fleet; it re-applies its own observability, tick hook and
+//!    runtime; it re-applies its own observability, tick hook and
 //!    publisher, so the supervisor re-wires nothing;
 //! 4. the step that panicked is retried. Retrying is safe: the step's
 //!    events were sealed and journaled *before* application, so the
@@ -189,11 +189,11 @@ mod tests {
         }
     }
 
-    /// A plan with one mid-tick panic per shard-0 window tick; the tick
+    /// A plan with one mid-tick panic per window tick; the tick
     /// axis here is the runtime's batch counter (one per sealed block).
     fn panic_plan(ticks: std::ops::Range<u64>) -> FaultPlan {
         FaultPlan::new(42).with_window(
-            arb_chaos::site::shard(0),
+            arb_chaos::site::ENGINE_TICK,
             ticks,
             FaultKind::PanicTick,
             1_000_000,

@@ -21,7 +21,7 @@ pub enum ChaosError {
     /// The oracle leg's engine failed (never fault-injected, so this is
     /// always a genuine bug).
     Engine(EngineError),
-    /// A shard panicked more times than the supervisor's recovery
+    /// A tick panicked more times than the supervisor's recovery
     /// budget allows.
     RecoveryExhausted {
         /// Recoveries performed before giving up.

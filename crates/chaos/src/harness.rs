@@ -65,8 +65,6 @@ const MAX_FLUSH_ATTEMPTS: u32 = 4096;
 pub struct SoakConfig {
     /// Scenario sizing (seed, universe, tick count).
     pub scenario: ScenarioConfig,
-    /// Engine shard budget (both legs).
-    pub shards: usize,
     /// Write a snapshot every this many ticks when the journal backlog
     /// is clear (`0` = never; recovery then replays from genesis).
     pub checkpoint_every: u64,
@@ -88,7 +86,6 @@ impl SoakConfig {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         SoakConfig {
             scenario: ScenarioConfig::default(),
-            shards: 4,
             checkpoint_every: 8,
             quiet_tail: 24,
             dir: dir.into(),
@@ -129,26 +126,6 @@ impl SoakOutcome {
     pub fn reconverged(&self) -> bool {
         self.fingerprint == self.oracle_fingerprint
     }
-
-    /// p99 of recovery wall times, in nanoseconds (0 when no recovery
-    /// happened).
-    #[must_use]
-    pub fn recovery_p99_ns(&self) -> u64 {
-        percentile(&self.recovery_wall_ns, 99)
-    }
-}
-
-/// Nearest-rank percentile over unsorted samples.
-#[must_use]
-pub fn percentile(samples: &[u64], pct: u32) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = (sorted.len() as u64 * u64::from(pct)).div_ceil(100);
-    let index = ((rank.max(1) - 1) as usize).min(sorted.len() - 1);
-    sorted[index]
 }
 
 /// Order-sensitive fingerprint of a ranking: folds every field the
@@ -187,7 +164,7 @@ fn mix(mut x: u64) -> u64 {
 
 /// The canonical all-sites plan for a run of `ticks` scenario ticks:
 /// bad-data and outage windows on both sources, every journal fault
-/// kind, a slow-shard window, and one mid-tick panic at the
+/// kind, a slow-tick window, and one mid-tick panic at the
 /// three-quarter mark. Tick 0 is left clean so the genesis feed prefix
 /// lands before the first fault.
 #[must_use]
@@ -234,15 +211,15 @@ pub fn standard_plan(seed: u64, ticks: u64) -> FaultPlan {
             FaultKind::DiskFull,
             1_000_000,
         )
-        // Shards: one slow window, one mid-tick panic.
+        // Engine ticks: one slow window, one mid-tick panic.
         .with_window(
-            site::shard(0),
+            site::ENGINE_TICK,
             t / 3..t / 3 + 2,
             FaultKind::SlowTick,
             1_000_000,
         )
         .with_window(
-            site::shard(0),
+            site::ENGINE_TICK,
             t * 3 / 4..t * 3 / 4 + 1,
             FaultKind::PanicTick,
             1_000_000,
@@ -266,7 +243,7 @@ pub fn run_soak(
 
     // Oracle leg: the never-faulted ground truth.
     let mut oracle_feed = scenario.feed.clone();
-    let mut oracle = ShardedRuntime::new(pipeline.clone(), scenario.pools.clone(), config.shards)?;
+    let mut oracle = ShardedRuntime::new(pipeline.clone(), scenario.pools.clone(), 1)?;
     for batch in &scenario.ticks {
         batch.apply_feed(&mut oracle_feed);
         oracle.apply_events(&batch.events, &oracle_feed)?;
@@ -408,7 +385,7 @@ impl<'a> SoakRig<'a> {
         if let Some(obs) = obs {
             ingestor.set_obs(obs);
         }
-        let runtime = ShardedRuntime::new(pipeline.clone(), scenario.pools.clone(), config.shards)?;
+        let runtime = ShardedRuntime::new(pipeline.clone(), scenario.pools.clone(), 1)?;
         let mut driver = IngestDriver::new(runtime, PriceTable::new(), ingestor.handle());
         if let Some(obs) = obs {
             driver.set_obs(obs);
@@ -510,7 +487,7 @@ impl<'a> SoakRig<'a> {
             }
         }
 
-        let recovered = Recovery::new(&self.config.dir, self.pipeline.clone(), self.config.shards)
+        let recovered = Recovery::new(&self.config.dir, self.pipeline.clone(), 1)
             .with_genesis_pools(self.scenario.pools.clone())
             .recover_journaled()?;
         let feed_pos = recovered.source_positions.first().copied().unwrap_or(0)

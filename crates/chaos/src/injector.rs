@@ -155,13 +155,13 @@ mod tests {
     fn obs_mirrors_injections() {
         let obs = Obs::default();
         let injector = ChaosInjector::new(FaultPlan::new(7).with_window(
-            "engine.shard.0",
+            "engine.tick",
             0..1,
             FaultKind::PanicTick,
             1_000_000,
         ));
         injector.set_obs(&obs);
-        injector.decide("engine.shard.0", 0);
+        injector.decide("engine.tick", 0);
         let snap = obs.registry().snapshot();
         assert_eq!(snap.counter("chaos.injected"), Some(1));
         assert_eq!(snap.counter("chaos.injected.panic-tick"), Some(1));

@@ -2,8 +2,8 @@
 //! the arbitrage pipeline.
 //!
 //! A [`FaultPlan`] is a seeded schedule of fault windows over named
-//! *sites* ([`site`]) — ingest sources, the journal commit path, shard
-//! tick paths. Whether a window fires at a coordinate is a pure
+//! *sites* ([`site`]) — ingest sources, the journal commit path, the
+//! engine's tick path. Whether a window fires at a coordinate is a pure
 //! function of `(seed, site, tick)`, so the same plan replays the exact
 //! same fault schedule every run; there is no wall clock and no global
 //! RNG anywhere in the decision path.
@@ -17,7 +17,7 @@
 //!   fsync failures, torn tails, and ENOSPC at commit-index
 //!   coordinates.
 //! * [`ChaosTickHook`] — an [`arb_engine::TickHook`] injecting slow
-//!   ticks and mid-tick panics per shard.
+//!   ticks and mid-tick panics.
 //!
 //! The [`harness`] ties them together: [`run_soak`] drives a workload
 //! through the full journaled ingest pipeline under a plan, supervises
@@ -35,9 +35,7 @@ pub mod source_chaos;
 pub mod tick_chaos;
 
 pub use error::ChaosError;
-pub use harness::{
-    fingerprint, percentile, run_soak, standard_plan, SoakConfig, SoakOutcome, FLIGHT_DUMP,
-};
+pub use harness::{fingerprint, run_soak, standard_plan, SoakConfig, SoakOutcome, FLIGHT_DUMP};
 pub use injector::{ChaosInjector, InjectedFault};
 pub use journal_chaos::ChaosIo;
 pub use plan::{FaultKind, FaultPlan, FaultWindow};

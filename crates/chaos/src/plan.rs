@@ -8,7 +8,7 @@
 //! same-seed-rerun assertion rests on. "Tick" is whatever monotone
 //! counter the injected site naturally has: the scenario tick for
 //! sources, the commit index for journal I/O, the runtime tick for
-//! shards.
+//! the engine.
 
 use std::fmt;
 use std::ops::Range;
@@ -39,9 +39,9 @@ pub enum FaultKind {
     TornWrite,
     /// Fail the write with `StorageFull` (ENOSPC).
     DiskFull,
-    /// Busy-spin a shard's tick (a slow worker, not a dead one).
+    /// Busy-spin a runtime tick (a slow worker, not a dead one).
     SlowTick,
-    /// Panic mid-tick on a shard's flush path.
+    /// Panic mid-tick, before the runtime applies the tick's events.
     PanicTick,
 }
 
@@ -211,7 +211,7 @@ mod tests {
         }
         assert_eq!(plan.fault_at("journal.io", 4), None);
         assert_eq!(plan.fault_at("journal.io", 8), None);
-        assert_eq!(plan.fault_at("engine.shard.0", 6), None);
+        assert_eq!(plan.fault_at("engine.tick", 6), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | `ingest.consumer`       | (health only — driven by backpressure) |
 //! | `journal.io`            | write-error / fsync-error / torn-write |
 //! |                         | / disk-full                            |
-//! | `engine.shard.<i>`      | slow-tick / panic-tick                 |
+//! | `engine.tick`           | slow-tick / panic-tick                 |
 
 /// The journal commit path ([`arb_journal::IoShim`] seam).
 pub const JOURNAL_IO: &str = "journal.io";
@@ -29,18 +29,15 @@ pub fn source(name: &str) -> String {
     format!("ingest.source.{name}")
 }
 
-/// The site name of one engine shard's tick path.
-#[must_use]
-pub fn shard(index: usize) -> String {
-    format!("engine.shard.{index}")
-}
+/// The runtime's tick path ([`arb_engine::TickHook`] seam).
+pub const ENGINE_TICK: &str = "engine.tick";
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn sites_follow_the_dotted_scheme() {
         assert_eq!(super::source("feed"), "ingest.source.feed");
-        assert_eq!(super::shard(3), "engine.shard.3");
+        assert_eq!(super::ENGINE_TICK, "engine.tick");
         assert_eq!(super::JOURNAL_IO, "journal.io");
     }
 }

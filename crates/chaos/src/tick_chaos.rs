@@ -1,6 +1,6 @@
-//! Shard-tick faults through the engine's [`TickHook`] seam: slow
-//! workers and mid-tick panics, keyed on `engine.shard.<i>` sites at
-//! the runtime's own tick counter.
+//! Tick faults through the runtime's [`TickHook`] seam: slow ticks and
+//! mid-tick panics, keyed on the `engine.tick` site at the runtime's
+//! own tick counter.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -24,7 +24,7 @@ pub struct ChaosTickHook {
 }
 
 impl ChaosTickHook {
-    /// A hook consulting `injector` at [`site::shard`] coordinates.
+    /// A hook consulting `injector` at [`site::ENGINE_TICK`] coordinates.
     #[must_use]
     pub fn new(injector: Arc<ChaosInjector>) -> Self {
         ChaosTickHook { injector }
@@ -32,8 +32,8 @@ impl ChaosTickHook {
 }
 
 impl TickHook for ChaosTickHook {
-    fn before_shard_tick(&self, shard: usize, tick: u64) {
-        match self.injector.decide(&site::shard(shard), tick) {
+    fn before_tick(&self, tick: u64) {
+        match self.injector.decide(site::ENGINE_TICK, tick) {
             Some(FaultKind::SlowTick) => {
                 let mut acc = 0u64;
                 for i in 0..SLOW_TICK_SPINS {
@@ -42,7 +42,7 @@ impl TickHook for ChaosTickHook {
                 black_box(acc);
             }
             Some(FaultKind::PanicTick) => {
-                panic!("chaos: injected mid-tick panic at shard {shard}, tick {tick}")
+                panic!("chaos: injected mid-tick panic at tick {tick}")
             }
             _ => {}
         }
@@ -61,19 +61,17 @@ mod tests {
     #[test]
     fn panic_windows_panic_exactly_once_per_coordinate() {
         let injector = Arc::new(ChaosInjector::new(FaultPlan::new(9).with_window(
-            site::shard(0),
+            site::ENGINE_TICK,
             4..5,
             FaultKind::PanicTick,
             1_000_000,
         )));
         let hook = ChaosTickHook::new(Arc::clone(&injector));
-        hook.before_shard_tick(0, 3); // outside the window: quiet
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            hook.before_shard_tick(0, 4)
-        }));
+        hook.before_tick(3); // outside the window: quiet
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook.before_tick(4)));
         assert!(caught.is_err(), "window coordinate must panic");
         // A supervisor retrying the same tick must get through.
-        hook.before_shard_tick(0, 4);
+        hook.before_tick(4);
         assert_eq!(injector.injected(), 1);
     }
 }

@@ -2,8 +2,11 @@
 //!
 //! The empirical pipeline (paper §VI) evaluates four strategies on
 //! hundreds of loops; the work is embarrassingly parallel, so this module
-//! fans it out over `std::thread` scoped threads. Results preserve input
-//! order and are bit-identical to the serial path (asserted in tests).
+//! fans it out over the process-wide worker pool (the `rayon` shim).
+//! Results preserve input order and are bit-identical to the serial path
+//! (asserted in tests).
+
+use rayon::prelude::*;
 
 use crate::error::StrategyError;
 use crate::loop_def::ArbLoop;
@@ -33,49 +36,24 @@ pub fn compare_all(
         .collect()
 }
 
-/// Compares all strategies on every case across `workers` threads,
-/// preserving input order.
+/// Compares all strategies on every case on the process-wide worker
+/// pool, preserving input order.
 ///
 /// # Errors
 ///
-/// Fails on the first evaluation error (other workers finish their chunks
-/// first).
+/// Fails on the first evaluation error in input order.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread itself panics (propagated).
+/// Re-raises a panic from an evaluation on the pool.
 pub fn compare_all_parallel(
     cases: &[LoopCase],
     options: &CompareOptions,
-    workers: usize,
 ) -> Result<Vec<LoopComparison>, StrategyError> {
-    let workers = workers.max(1);
-    if workers == 1 || cases.len() <= 1 {
-        return compare_all(cases, options);
-    }
-    let chunk_size = cases.len().div_ceil(workers);
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = cases
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|case| compare(&case.loop_, &case.prices, options))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("strategy worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut out = Vec::with_capacity(cases.len());
-    for chunk_result in results {
-        out.extend(chunk_result?);
-    }
-    Ok(out)
+    cases
+        .par_iter()
+        .map(|case| compare(&case.loop_, &case.prices, options))
+        .collect()
 }
 
 #[cfg(test)]
@@ -110,19 +88,19 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_exactly() {
-        let cases = random_cases(40, 99);
         let options = CompareOptions::default();
-        let serial = compare_all(&cases, &options).unwrap();
-        for workers in [2, 4, 7] {
-            let parallel = compare_all_parallel(&cases, &options, workers).unwrap();
-            assert_eq!(parallel, serial, "workers={workers}");
+        for n in [0, 1, 5, 40] {
+            let cases = random_cases(n, 99);
+            let serial = compare_all(&cases, &options).unwrap();
+            let parallel = compare_all_parallel(&cases, &options).unwrap();
+            assert_eq!(parallel, serial, "{n} cases");
         }
     }
 
     #[test]
     fn all_rows_satisfy_dominance() {
         let cases = random_cases(60, 123);
-        let rows = compare_all_parallel(&cases, &CompareOptions::default(), 4).unwrap();
+        let rows = compare_all_parallel(&cases, &CompareOptions::default()).unwrap();
         assert_eq!(rows.len(), 60);
         for (i, row) in rows.iter().enumerate() {
             assert!(
@@ -130,15 +108,5 @@ mod tests {
                 "case {i}: {row:?}"
             );
         }
-    }
-
-    #[test]
-    fn single_worker_falls_back_to_serial() {
-        let cases = random_cases(5, 7);
-        let options = CompareOptions::default();
-        assert_eq!(
-            compare_all_parallel(&cases, &options, 1).unwrap(),
-            compare_all(&cases, &options).unwrap()
-        );
     }
 }

@@ -1,10 +1,10 @@
 //! Plain-data checkpoints of engine state, for durable snapshots.
 //!
-//! A [`crate::StreamingEngine`] (and the [`crate::ShardedRuntime`] fleet
-//! above it) is a deterministic function of the event stream it consumed:
-//! evaluation is pure in (reserves, feed), so any copy of the graph +
-//! cycle index resumes to the exact same standing ranking. These types
-//! capture that state as plain data — no I/O, no encoding — so a
+//! A [`crate::StreamingEngine`] (and the [`crate::ShardedRuntime`]
+//! around it) is a deterministic function of the event stream it
+//! consumed: evaluation is pure in (reserves, feed), so any copy of the
+//! graph + cycle index resumes to the exact same standing ranking. These
+//! types capture that state as plain data — no I/O, no encoding — so a
 //! persistence layer (`arb-journal`) can serialize them however it likes
 //! and tie them to a journal offset.
 //!
@@ -22,8 +22,7 @@
 //!
 //! The standing opportunity *values* are deliberately **not** captured:
 //! restore marks every live cycle dirty and the first refresh recomputes
-//! them bit-identically (the same invariant the sharded runtime's rebuild
-//! path already relies on). Cumulative counters ([`crate::StreamStats`],
+//! them bit-identically. Cumulative counters ([`crate::StreamStats`],
 //! [`crate::RuntimeStats`]) restart from zero — they describe a process
 //! lifetime, not market state.
 
@@ -125,19 +124,14 @@ impl EngineCheckpoint {
     }
 }
 
-/// A checkpoint of a whole [`crate::ShardedRuntime`]: the per-slot shard
-/// assignment plus one [`EngineCheckpoint`] per shard (each shard mirrors
-/// the full slot array, with non-owned slots retired). Produce with
-/// [`crate::ShardedRuntime::checkpoint`], consume with
-/// [`crate::ShardedRuntime::restore`].
+/// A checkpoint of a whole [`crate::ShardedRuntime`]: its engine's
+/// [`EngineCheckpoint`] plus what the ingestion front-end needs to
+/// resume. Produce with [`crate::ShardedRuntime::checkpoint`], consume
+/// with [`crate::ShardedRuntime::restore`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeCheckpoint {
-    /// The shard-count cap to re-apply on post-restore rebuilds.
-    pub max_shards: usize,
-    /// `owners[p]` = shard owning pool slot `p`.
-    pub owners: Vec<u32>,
-    /// Per-shard engine checkpoints, indexed by shard.
-    pub shards: Vec<EngineCheckpoint>,
+    /// The engine's checkpoint.
+    pub engine: EngineCheckpoint,
     /// The price feed at checkpoint time as `(token index, f64 bits)`
     /// entries sorted by token — filled by the ingestion front-end
     /// (`arb-ingest`), whose journaled stream carries feed updates

@@ -22,11 +22,10 @@
 //!   graph + persistent cycle index, consumes chain event batches, and
 //!   re-evaluates only the cycles the events touched while keeping a
 //!   standing ranked opportunity set identical to a fresh batch run.
-//! * [`runtime::ShardedRuntime`] — the scale-out layer: partitions the
-//!   universe along connected components, runs one streaming engine per
-//!   shard on a worker pool, routes events to their owning shard, and
-//!   k-way merges the per-shard rankings into one global set that is
-//!   bit-identical to a single engine over the same stream.
+//! * [`runtime::ShardedRuntime`] — the runtime the ingest, journal and
+//!   serve layers drive: one streaming engine over the whole universe
+//!   (its evaluation fans out on the process-wide worker pool), plus a
+//!   standing revision, tick counters, a pre-tick hook and checkpoints.
 //! * [`opportunity::ArbitrageOpportunity`] — the uniform result: cycle,
 //!   winning strategy, per-hop optimal inputs, gross/net monetized profit.
 //! * [`ranking`] — pluggable execution-priority policies.

@@ -5,7 +5,7 @@
 //! `Arc`, where the pipeline evaluates a cycle, and never mutated after.
 //! Field reads go through `Deref` (`opp.cycle`, `opp.net_profit`), and
 //! `Clone` is a refcount bump — so the engine's rank cache, the runtime's
-//! merged ranking, published snapshots and ranking deltas all share one
+//! ranking, published snapshots and ranking deltas all share one
 //! allocation per evaluation instead of deep-copying its vectors.
 
 use std::fmt;

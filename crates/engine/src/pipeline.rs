@@ -244,8 +244,7 @@ impl PriceFeed for SnapshotPrices<'_> {
 /// (pools or snapshot plus a price feed), so instances are reusable across
 /// blocks and shareable across threads. Cloning a pipeline shares the
 /// strategy objects (they are `Arc`s) and duplicates the ranking policy —
-/// a clone ranks bit-identically to its original, which is what lets the
-/// sharded runtime hand one pipeline per shard.
+/// a clone ranks bit-identically to its original.
 #[derive(Clone)]
 pub struct OpportunityPipeline {
     strategies: Vec<SharedStrategy>,
@@ -359,7 +358,7 @@ impl OpportunityPipeline {
         // With the screen on, each enumerated cycle first passes the
         // cheap cached checks — the log-sum sign and, when a gross floor
         // is configured, the profit upper bounds of [`crate::bounds`] —
-        // so cold starts, recovery refreshes, and shard rebuilds stop
+        // so cold starts and recovery refreshes stop
         // classifying provably-dead cycles. The checks reuse exactly the
         // classification criteria of `prepare_candidate` (same cached
         // log rates, sound bounds), so the surviving opportunity set is
@@ -498,8 +497,8 @@ impl OpportunityPipeline {
     /// deterministic tie-breaks (loop length, token order, then pool
     /// order — two distinct cycles always differ in one of those, so no
     /// two distinct opportunities ever compare `Equal`). Shared by
-    /// [`OpportunityPipeline::rank`] and the sharded runtime's k-way
-    /// merge so every path orders identically.
+    /// [`OpportunityPipeline::rank`] and [`crate::StreamingEngine::ranked`]
+    /// so every path orders identically.
     pub(crate) fn compare(
         &self,
         a: &ArbitrageOpportunity,

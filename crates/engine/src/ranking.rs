@@ -14,8 +14,8 @@ pub trait RankingPolicy: Send + Sync {
     /// The descending sort key.
     fn score(&self, opportunity: &ArbitrageOpportunity) -> f64;
 
-    /// Clones the policy behind the trait object, so pipelines (and the
-    /// sharded runtime's per-shard engine fleet) can be duplicated.
+    /// Clones the policy behind the trait object, so pipelines can be
+    /// duplicated.
     fn clone_box(&self) -> Box<dyn RankingPolicy>;
 }
 

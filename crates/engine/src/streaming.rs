@@ -175,9 +175,8 @@ impl fmt::Display for StreamStats {
 ///
 /// Counters are *additive* across engines sharing a registry: each
 /// engine pushes only the delta since its last sync (`mirrored`), so a
-/// sharded fleet's registry totals are the sum over every engine that
-/// ever lived — exactly what [`crate::ScreenTotals`] reports, rebuilds
-/// included. Syncs happen at refresh boundaries (the end of every tick
+/// registry shared by several engines holds the sum over all of them.
+/// Syncs happen at refresh boundaries (the end of every tick
 /// path), so a snapshot taken between ticks always agrees with the
 /// legacy struct.
 #[derive(Debug)]
@@ -321,8 +320,8 @@ pub struct StreamingEngine {
     feed_prices: Vec<Option<f64>>,
     /// Bumped whenever the standing set may have changed (conservative:
     /// re-inserting a bitwise-identical evaluation still counts). Lets
-    /// callers cache derived views — the sharded runtime keeps each
-    /// shard's ranked list and re-clones it only when this moves.
+    /// callers cache derived views — the runtime bumps its own revision
+    /// only when this moves.
     revision: u64,
     /// Ranked view memoized per revision: `ranked()` at an unchanged
     /// revision re-clones this instead of re-sorting the standing set.
@@ -474,47 +473,18 @@ impl StreamingEngine {
 
     /// [`StreamingEngine::apply_events`] without materializing the ranked
     /// report: applies the batch and brings the standing set current, but
-    /// skips the clone + sort of [`StreamingEngine::ranked`]. Callers that
-    /// rank elsewhere (the sharded runtime merges across engines) pair
-    /// this with [`StreamingEngine::standing_revision`] to only re-rank
-    /// when something actually changed.
+    /// skips the clone + sort of [`StreamingEngine::ranked`]. Callers pair
+    /// this with [`StreamingEngine::standing_revision`] to learn whether
+    /// the ranking moved before asking for it.
     ///
     /// # Errors
     ///
     /// See [`StreamingEngine::apply_events`].
     pub fn advance<F: PriceFeed>(&mut self, events: &[Event], feed: &F) -> Result<(), EngineError> {
-        self.ingest(events)?;
-        self.refresh_standing(feed)
-    }
-
-    /// Applies a batch of events to the graph, index, and dirty set
-    /// **without** re-evaluating anything: the first half of
-    /// [`StreamingEngine::advance`]. Callers that need to adjust the
-    /// universe between application and evaluation (the sharded runtime
-    /// retires mirrored non-owned slots there, so no shard evaluates
-    /// cycles it is about to discard) follow up with
-    /// [`StreamingEngine::refresh_standing`].
-    ///
-    /// # Errors
-    ///
-    /// See [`StreamingEngine::apply_events`].
-    pub fn ingest(&mut self, events: &[Event]) -> Result<(), EngineError> {
         for event in events {
             self.apply_event(event)?;
         }
-        Ok(())
-    }
-
-    /// Pushes any un-mirrored counter movement into the registry, when
-    /// observability is attached. Called at refresh boundaries so the
-    /// registry tracks the legacy struct tick by tick; callers driving
-    /// `ingest`/`retire_pool` directly between refreshes can call it
-    /// explicitly before snapshotting.
-    pub fn sync_obs(&mut self) {
-        let stats = self.stats;
-        if let Some(obs) = &mut self.obs {
-            obs.sync(&stats);
-        }
+        self.refresh_standing(feed)
     }
 
     /// Re-evaluates the dirty set against `feed` and returns the standing
@@ -977,27 +947,6 @@ impl StreamingEngine {
                 self.stats.cycles_dirtied += 1;
             }
         }
-    }
-
-    /// Drops a pool from this engine's universe: retires it in the graph
-    /// and discards its cycles and any standing evaluations on them. The
-    /// slot is kept (id stability), so later events for other pools keep
-    /// decoding against the same id space; a retired slot only comes back
-    /// through a valid `Sync`. The sharded runtime uses this to park pool
-    /// slots a shard does not own.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Desync`] for a pool this engine never saw.
-    pub fn retire_pool(&mut self, pool: arb_amm::pool::PoolId) -> Result<(), EngineError> {
-        if pool.index() >= self.graph.pool_count() {
-            return Err(EngineError::Desync("retire for a pool never seen"));
-        }
-        if self.graph.is_live(pool) {
-            self.graph.remove_pool(pool)?;
-            self.retire_pool_cycles(pool);
-        }
-        Ok(())
     }
 
     fn retire_pool_cycles(&mut self, pool: arb_amm::pool::PoolId) {

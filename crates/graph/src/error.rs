@@ -17,8 +17,7 @@ pub enum GraphError {
     DisconnectedCycle,
     /// Pool construction failed (forwarded from `arb-amm`).
     Amm(arb_amm::AmmError),
-    /// Checkpointed state (a cycle-index arena or a partition assignment)
-    /// is internally inconsistent with the graph it is being restored
+    /// Checkpointed state (a cycle-index arena) is internally inconsistent with the graph it is being restored
     /// against.
     InvalidCheckpoint(&'static str),
 }

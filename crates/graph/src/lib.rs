@@ -16,8 +16,8 @@
 //! * [`bellman_ford`] — Bellman–Ford–Moore negative-cycle detection on
 //!   `−log(rate)` weights, as used by Zhou et al. (S&P '21);
 //! * [`tarjan`] — strongly connected components for search pruning;
-//! * [`partition`] — connected-component-aware pool sharding for the
-//!   multi-engine runtime in `arb-engine`.
+//! * [`cycle_index`] — the persistent pool → cycle index the streaming
+//!   engine in `arb-engine` re-evaluates from.
 //!
 //! # Quickstart
 //!
@@ -44,12 +44,10 @@ pub mod cycle_index;
 pub mod cycles;
 pub mod error;
 pub mod johnson;
-pub mod partition;
 pub mod tarjan;
 pub mod token_graph;
 
 pub use cycle_index::{CycleId, CycleIndex, PoolCycleRef, ScreenUpdate};
 pub use cycles::Cycle;
 pub use error::GraphError;
-pub use partition::Partition;
 pub use token_graph::{LoopScan, SyncOutcome, TokenGraph};

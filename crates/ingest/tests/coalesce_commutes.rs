@@ -154,15 +154,15 @@ proptest! {
             .iter()
             .map(|&(op, value)| build_event(op, value, &mut slots))
             .collect();
-        let merged_events = coalesce(&events);
-        prop_assert!(merged_events.len() <= events.len());
+        let coalesced_events = coalesce(&events);
+        prop_assert!(coalesced_events.len() <= events.len());
 
         let (mut raw_graph, mut raw_feed) = (base_graph(), PriceTable::new());
-        let (mut merged_graph, mut merged_feed) = (base_graph(), PriceTable::new());
+        let (mut coalesced_graph, mut coalesced_feed) = (base_graph(), PriceTable::new());
         apply(&mut raw_graph, &mut raw_feed, &events);
-        apply(&mut merged_graph, &mut merged_feed, &merged_events);
-        assert_live_state_identical(&raw_graph, &merged_graph);
-        assert_feeds_identical(&raw_feed, &merged_feed);
+        apply(&mut coalesced_graph, &mut coalesced_feed, &coalesced_events);
+        assert_live_state_identical(&raw_graph, &coalesced_graph);
+        assert_feeds_identical(&raw_feed, &coalesced_feed);
 
         // Convergence: revive every slot that ended retired. The reviving
         // sync is absolute, so after it the two graphs must agree on
@@ -177,9 +177,9 @@ proptest! {
             })
             .collect();
         apply(&mut raw_graph, &mut raw_feed, &revive);
-        apply(&mut merged_graph, &mut merged_feed, &revive);
+        apply(&mut coalesced_graph, &mut coalesced_feed, &revive);
         prop_assert_eq!(raw_graph.live_pool_count(), raw_graph.pool_count());
-        assert_live_state_identical(&raw_graph, &merged_graph);
+        assert_live_state_identical(&raw_graph, &coalesced_graph);
     }
 
     #[test]

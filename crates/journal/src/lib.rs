@@ -63,7 +63,7 @@
 //!
 //! // Live process: journal events, checkpoint the runtime.
 //! let mut writer = JournalWriter::open(&dir, JournalConfig::default())?;
-//! let mut runtime = ShardedRuntime::new(OpportunityPipeline::default(), pools.clone(), 2)?;
+//! let mut runtime = ShardedRuntime::new(OpportunityPipeline::default(), pools.clone(), 1)?;
 //! let tick = [Event::Sync {
 //!     pool: arb_amm::pool::PoolId::new(0),
 //!     reserve_a: to_raw(101.0),
@@ -76,7 +76,7 @@
 //! drop((writer, runtime)); // 💥 crash
 //!
 //! // New process: restore + replay = the same ranking, bit for bit.
-//! let mut recovered = Recovery::new(&dir, OpportunityPipeline::default(), 2)
+//! let mut recovered = Recovery::new(&dir, OpportunityPipeline::default(), 1)
 //!     .with_genesis_pools(pools)
 //!     .with_genesis_feed(feed.clone())
 //!     .recover_journaled()?;

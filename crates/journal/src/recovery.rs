@@ -81,14 +81,14 @@ impl fmt::Display for RecoveryStats {
     }
 }
 
-/// The result of a [`Recovery::recover_journaled`] run: the fleet **and**
+/// The result of a [`Recovery::recover_journaled`] run: the runtime **and**
 /// the price table, both brought to the journal's durable tail. Over a
 /// journal whose stream carries [`Event::FeedPrice`] updates inline (the
 /// `arb-ingest` multiplexed stream) both come from disk alone — no live
 /// feed required.
 #[derive(Debug)]
 pub struct RecoveredStream {
-    /// The restored fleet, refreshed under the recovered feed.
+    /// The restored runtime, refreshed under the recovered feed.
     pub runtime: ShardedRuntime,
     /// The price table at the journal's durable tail: the snapshot's
     /// feed section (over any genesis feed) overlaid with every
@@ -134,20 +134,18 @@ pub struct RecoveredStream {
 pub struct Recovery {
     dir: PathBuf,
     pipeline: OpportunityPipeline,
-    max_shards: usize,
     genesis_pools: Vec<Pool>,
     genesis_feed: PriceTable,
 }
 
 impl Recovery {
-    /// A driver over the journal in `dir`, restoring engines configured
-    /// like `pipeline` with at most `max_shards` shards (used only for
-    /// the genesis path; a snapshot carries its own shard layout).
-    pub fn new(dir: impl Into<PathBuf>, pipeline: OpportunityPipeline, max_shards: usize) -> Self {
+    /// A driver over the journal in `dir`, restoring a runtime
+    /// configured like `pipeline`. The third argument is ignored (it once
+    /// capped a shard count) and kept so existing callers still compile.
+    pub fn new(dir: impl Into<PathBuf>, pipeline: OpportunityPipeline, _ignored: usize) -> Self {
         Recovery {
             dir: dir.into(),
             pipeline,
-            max_shards,
             genesis_pools: Vec::new(),
             genesis_feed: PriceTable::new(),
         }
@@ -176,7 +174,7 @@ impl Recovery {
 
     /// Runs the recovery: restore the newest valid snapshot (including
     /// its feed section), replay the suffix with [`Event::FeedPrice`]
-    /// updates routed to the price table and chain events to the fleet,
+    /// updates routed to the price table and chain events to the runtime,
     /// and refresh under the reconstructed table. Over the `arb-ingest`
     /// multiplexed stream no live feed is needed — the journal and
     /// snapshots alone reproduce the decisions.
@@ -235,7 +233,7 @@ impl Recovery {
 
         // Route the suffix: feed updates into the table (last-write-wins,
         // so order relative to chain events is immaterial before the one
-        // final refresh), everything else to the fleet.
+        // final refresh), everything else to the runtime.
         let mut chain_events = Vec::with_capacity(raw_events.len());
         let mut feed_events_replayed = 0usize;
         for event in raw_events {
@@ -325,7 +323,7 @@ impl Recovery {
         } else {
             self.genesis_pools.clone()
         };
-        let runtime = ShardedRuntime::new(self.pipeline.clone(), pools, self.max_shards)?;
+        let runtime = ShardedRuntime::new(self.pipeline.clone(), pools, 1)?;
         Ok((runtime, events))
     }
 }

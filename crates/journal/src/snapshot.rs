@@ -1,7 +1,7 @@
 //! Durable engine snapshots: the checkpoint codec and the on-disk store.
 //!
 //! A snapshot file is a serialized [`RuntimeCheckpoint`] tied to a
-//! journal offset: "this was the fleet's exact state after consuming
+//! journal offset: "this was the runtime's exact state after consuming
 //! events `[0, offset)`". Files are written atomically (tmp + rename +
 //! directory fsync) and guarded by a trailing CRC-32, so a crash mid-write
 //! leaves either the previous snapshot set or a complete new file — never
@@ -23,8 +23,9 @@ use crate::error::JournalError;
 const MAGIC: &[u8; 8] = b"ARBSNAP1";
 // Version 2 appended the feed and ingest-source-position sections, so a
 // snapshot taken through the ingestion front-end is self-contained:
-// restoring it needs no live price feed.
-const VERSION: u32 = 2;
+// restoring it needs no live price feed. Version 3 holds one engine in
+// place of the shard-count cap, pool owners and per-shard engines.
+const VERSION: u32 = 3;
 const PREFIX: &str = "snapshot-";
 const SUFFIX: &str = ".ckpt";
 
@@ -86,15 +87,7 @@ pub fn encode_checkpoint(offset: u64, checkpoint: &RuntimeCheckpoint) -> Vec<u8>
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
     put_u64(&mut out, offset);
-    put_u64(&mut out, checkpoint.max_shards as u64);
-    put_u64(&mut out, checkpoint.owners.len() as u64);
-    for &owner in &checkpoint.owners {
-        put_u32(&mut out, owner);
-    }
-    put_u64(&mut out, checkpoint.shards.len() as u64);
-    for shard in &checkpoint.shards {
-        encode_engine(&mut out, shard);
-    }
+    encode_engine(&mut out, &checkpoint.engine);
     put_u64(&mut out, checkpoint.feed.len() as u64);
     for &(token, price_bits) in &checkpoint.feed {
         put_u32(&mut out, token);
@@ -251,17 +244,7 @@ pub fn decode_checkpoint(data: &[u8]) -> Result<(u64, RuntimeCheckpoint), Journa
         )));
     }
     let offset = d.u64()?;
-    let max_shards = d.len()?;
-    let owner_count = d.len()?;
-    let mut owners = Vec::with_capacity(owner_count);
-    for _ in 0..owner_count {
-        owners.push(d.u32()?);
-    }
-    let shard_count = d.len()?;
-    let mut shards = Vec::with_capacity(shard_count);
-    for _ in 0..shard_count {
-        shards.push(decode_engine(&mut d)?);
-    }
+    let engine = decode_engine(&mut d)?;
     let feed_len = d.len()?;
     let mut feed = Vec::with_capacity(feed_len);
     for _ in 0..feed_len {
@@ -282,9 +265,7 @@ pub fn decode_checkpoint(data: &[u8]) -> Result<(u64, RuntimeCheckpoint), Journa
     Ok((
         offset,
         RuntimeCheckpoint {
-            max_shards,
-            owners,
-            shards,
+            engine,
             feed,
             source_positions,
         },

@@ -39,8 +39,8 @@ pub struct RankingDelta {
 
 impl RankingDelta {
     /// Whether the delta carries no change (revision advanced with an
-    /// identical ranking — e.g. a rebuild that reshuffled shards but
-    /// not priorities).
+    /// identical ranking — e.g. the first publish after a
+    /// checkpoint/restore).
     #[must_use]
     pub fn is_noop(&self) -> bool {
         self.removed.is_empty() && self.upserts.is_empty()

@@ -201,7 +201,7 @@ pub struct PublishStats {
     /// had not moved.
     pub skipped: u64,
     /// Published deltas that carried no ranking change (revision moved
-    /// but the merged order was bit-identical, e.g. after a rebuild).
+    /// but the order was bit-identical, e.g. after a restore).
     pub noop_deltas: u64,
 }
 

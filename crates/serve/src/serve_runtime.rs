@@ -14,7 +14,9 @@ use arb_engine::{EngineError, RuntimeReport, ShardedRuntime};
 use crate::governor::{ClientClass, GovernorConfig, GovernorStats};
 use crate::publish::{PublishStats, Publisher, ServeHandle, Subscription};
 
-/// A sharded runtime with a serving side-car.
+/// The runtime (one streaming engine) with a serving side-car: every
+/// tick's ranking is published when the runtime's standing revision
+/// moved.
 #[derive(Debug)]
 pub struct ServeRuntime {
     runtime: ShardedRuntime,

@@ -16,13 +16,13 @@
 //! sleeping only while the queue is empty. Workers pop the oldest job,
 //! helpers the newest, so a helper tends to finish its own chunks first.
 //!
-//! A parallel call made *inside* a job (a shard's evaluation fan-out
-//! inside the runtime's per-shard fan-out) therefore queues its chunks
-//! where any idle thread picks them up: an idle worker is lent to the
-//! busy outer job instead of the inner call running serially. It cannot
-//! deadlock: a thread sleeps only while the queue is empty, so every
-//! unfinished chunk is running on some thread, and the innermost running
-//! chunk waits on nothing, so some chunk always makes progress.
+//! A parallel call made *inside* a job (a nested fan-out) therefore
+//! queues its chunks where any idle thread picks them up: an idle
+//! worker is lent to the busy outer job instead of the inner call
+//! running serially. It cannot deadlock: a thread sleeps only while the
+//! queue is empty, so every unfinished chunk is running on some thread,
+//! and the innermost running chunk waits on nothing, so some chunk
+//! always makes progress.
 //!
 //! # Determinism
 //!

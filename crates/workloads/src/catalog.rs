@@ -21,7 +21,7 @@ pub enum WorkloadKind {
     /// tier.
     FeeRegimeShift,
     /// A create/retire storm: pools deploy (occasionally bridging two
-    /// execution domains — the sharded runtime's rebuild path), drain to
+    /// execution domains), drain to
     /// zero, and revive, while background deltas keep flowing.
     PoolChurn,
     /// Degenerate-pool flood: waves of pools drained to zero reserves and

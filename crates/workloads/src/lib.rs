@@ -21,8 +21,7 @@
 //!
 //! Universes are generated as `domains` disconnected islands (per the
 //! shared-sequencer motivation: concurrent execution domains whose pools
-//! never share a cycle), which is exactly the component structure the
-//! sharded runtime partitions along. Everything is a pure function of
+//! never share a cycle). Everything is a pure function of
 //! [`scenario::ScenarioConfig`] — two calls with the same config produce
 //! bit-identical scenarios, which is what lets
 //! `tests/runtime_equivalence.rs` replay one stream into two engines and

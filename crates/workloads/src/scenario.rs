@@ -22,7 +22,7 @@ pub struct ScenarioConfig {
     /// RNG seed; the scenario is a pure function of this config.
     pub seed: u64,
     /// Independent execution domains (disconnected islands). Cycles never
-    /// cross domains, so this is also the natural shard count.
+    /// cross domains until a bridge pool joins two.
     pub domains: usize,
     /// Token universe size, split across domains.
     pub num_tokens: usize,
@@ -497,8 +497,8 @@ fn pool_churn(builder: &mut Builder, ticks: usize) -> Vec<TickBatch> {
             builder.wobble(&mut batch.events, 0.01);
             if tick % 3 == 1 {
                 // Deploy: mostly intra-domain, sometimes onto a brand-new
-                // token, rarely a cross-domain bridge (the sharded
-                // runtime's repartition path).
+                // token, rarely a cross-domain bridge that joins two
+                // islands.
                 let roll: f64 = builder.rng.gen_range(0.0f64..1.0);
                 let fee = FeeRate::UNISWAP_V2;
                 if roll < 0.7 {

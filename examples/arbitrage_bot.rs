@@ -3,7 +3,7 @@
 //! Noise traders and liquidity providers push pools out of line each
 //! block; a CEX drifts token prices; the bot seals the price moves and
 //! the chain's `Sync`/`Swap` events into one block, applies the deltas
-//! to its sharded graph + cycle index, re-evaluates only the loops each
+//! to its graph + cycle index, re-evaluates only the loops each
 //! block touched, and executes atomically via flash bundles. Its PnL
 //! can only grow — bundles revert unless they settle non-negative.
 //!
@@ -49,9 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // byte-deterministic across runs.
     let runtime = sim.bot().runtime();
     println!(
-        "runtime: {} ticks, {} events routed, {}",
+        "runtime: {} ticks, {} events applied, {}",
         runtime.stats().ticks,
-        runtime.stats().events_routed,
+        runtime.engine().stats().events_applied,
         runtime.screen_totals()
     );
     let holdings = arbloops::bot::pnl::Ledger::holdings(

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    let rows = compare_all_parallel(&cases, &CompareOptions::default(), 8)?;
+    let rows = compare_all_parallel(&cases, &CompareOptions::default())?;
 
     // The paper's headline comparisons.
     let mut trad_below = 0usize;

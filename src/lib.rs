@@ -18,7 +18,7 @@
 //! | [`snapshot`] | `arb-snapshot` | paper-calibrated synthetic Uniswap snapshots |
 //! | [`convex`] | `arb-convex` | the eq. 8 convex program and its solvers |
 //! | [`strategies`] | `arb-core` | Traditional, MaxPrice, MaxMax, ConvexOpt |
-//! | [`engine`] | `arb-engine` | discovery → evaluation → ranking pipeline, streaming + sharded runtimes |
+//! | [`engine`] | `arb-engine` | discovery → evaluation → ranking pipeline, streaming engine + runtime |
 //! | [`journal`] | `arb-journal` | durable event journal, engine snapshots, crash recovery |
 //! | [`ingest`] | `arb-ingest` | staged ingestion front-end: coalescing, multiplexing, backpressure |
 //! | [`workloads`] | `arb-workloads` | seeded deterministic scenario catalog (workload generator) |
@@ -106,7 +106,7 @@ pub mod prelude {
         PipelineReport, RankingPolicy, RuntimeCheckpoint, RuntimeReport, RuntimeStats,
         ScreenTotals, ShardedRuntime, StreamReport, StreamStats, StreamingEngine, TickHook,
     };
-    pub use arb_graph::{Cycle, CycleId, CycleIndex, Partition, SyncOutcome, TokenGraph};
+    pub use arb_graph::{Cycle, CycleId, CycleIndex, SyncOutcome, TokenGraph};
     pub use arb_ingest::{
         coalesce, HealthConfig, HealthMonitor, HealthState, IngestBatch, IngestConfig,
         IngestDriver, IngestError, IngestHandle, IngestStats, Ingestor, LagPolicy, SourceId,

@@ -1,7 +1,7 @@
 //! The chaos soak: every workload in the catalog, driven through the
 //! full journaled ingest pipeline under the standard all-sites fault
 //! plan (source outages, bad feed data, journal write/fsync/torn/ENOSPC
-//! failures, a slow shard, one mid-tick panic), must **reconverge**: the
+//! failures, a slow tick, one mid-tick panic), must **reconverge**: the
 //! post-fault final ranking is bit-identical to a never-faulted oracle's.
 //!
 //! Also proved here: same-seed reruns reproduce the identical fault

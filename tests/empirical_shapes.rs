@@ -29,7 +29,7 @@ fn study_rows(length: usize) -> Vec<LoopComparison> {
             }
         })
         .collect();
-    compare_all_parallel(&cases, &CompareOptions::default(), 4).unwrap()
+    compare_all_parallel(&cases, &CompareOptions::default()).unwrap()
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! The durability subsystem's correctness oracle.
 //!
-//! For every workload in the catalog, a journaled sharded runtime is
+//! For every workload in the catalog, a journaled runtime is
 //! crash-killed mid-stream at a seeded random event offset: events up to
 //! the kill are durably journaled (with periodic snapshots + segment
 //! compaction, exactly like the production loop), and the in-memory
-//! fleet is then dropped. Recovery must rebuild a runtime whose ranked
+//! runtime is then dropped. Recovery must rebuild a runtime whose ranked
 //! output is **bit-identical** to an uninterrupted run at the same
 //! point, must keep agreeing tick by tick through the rest of the
 //! scenario, and must have replayed strictly fewer events than a genesis

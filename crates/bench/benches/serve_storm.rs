@@ -1,10 +1,10 @@
-//! Serve storm: lock-free snapshot serving under whale-burst write load.
+//! Serve storm: snapshot serving under whale-burst write load.
 //!
 //! The workload is the catalog's `whale-bursts` entry at 600 pools,
-//! streamed through a
-//! [`ServeRuntime`] while governed reader threads hammer the published
-//! [`RankedSnapshot`]s with the deterministic query plans from
-//! [`ReadStormProfile`]. Two measured phases replay the identical tick
+//! streamed through a [`ShardedRuntime`] whose rankings a [`Publisher`]
+//! publishes whenever they move, while governed reader threads hammer
+//! the published [`RankedSnapshot`]s with the deterministic query plans
+//! from [`ReadStormProfile`]. Two measured phases replay the identical tick
 //! stream (whale-bursts emits only absolute syncs + feed moves, so
 //! cycling epochs is state-safe):
 //!
@@ -14,9 +14,10 @@
 //!   throttled only by the admission governor (64k admissions/s per
 //!   class, 192k/s aggregate); denied readers sleep on the retry hint.
 //!
-//! The read path never takes a lock — readers pin an epoch slot, load
-//! the snapshot pointer, and query frozen indexes — so the storm must
-//! not disturb the event path. The pass **asserts**:
+//! A read checks the published revision against the reader's cached
+//! snapshot and locks the cell only after a publish, then queries frozen
+//! indexes — so the storm must not disturb the event path. The pass
+//! **asserts**:
 //!
 //! * sustained admitted reads ≥ 100k/s across ≥ 4 reader threads (the
 //!   governed rate is wall-clock anchored, so this holds on any host
@@ -36,9 +37,11 @@ use std::time::{Duration, Instant};
 
 use arb_bench::json::JsonLine;
 use arb_bench::percentile_ns;
+use arb_cex::feed::PriceTable;
+use arb_dexsim::events::Event;
 use arb_engine::{OpportunityPipeline, PipelineConfig, ShardedRuntime};
 use arb_serve::{
-    ClassLimit, ClientClass, GovernorConfig, RankedSnapshot, ServeError, ServeHandle, ServeRuntime,
+    ClassLimit, ClientClass, GovernorConfig, Publisher, RankedSnapshot, ServeError, ServeHandle,
 };
 use arb_workloads::{find, QueryOp, ReadStormProfile, ReaderPlan, Scenario, ScenarioConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -80,15 +83,35 @@ fn governor() -> GovernorConfig {
     }
 }
 
-fn serve_runtime(scenario: &Scenario, governor: GovernorConfig) -> ServeRuntime {
-    let pipeline = OpportunityPipeline::new(PipelineConfig {
-        top_k: Some(16),
-        ..PipelineConfig::default()
-    });
-    let runtime = ShardedRuntime::new(pipeline, scenario.pools.clone(), 1).expect("runtime");
-    let mut serve = ServeRuntime::new(runtime, governor);
-    serve.refresh(&scenario.feed).expect("cold start");
-    serve
+/// The runtime and the publisher serving its rankings.
+struct Serving {
+    runtime: ShardedRuntime,
+    publisher: Publisher,
+}
+
+impl Serving {
+    /// A cold-started runtime with its first ranking published.
+    fn new(scenario: &Scenario, governor: GovernorConfig) -> Self {
+        let pipeline = OpportunityPipeline::new(PipelineConfig {
+            top_k: Some(16),
+            ..PipelineConfig::default()
+        });
+        let runtime = ShardedRuntime::new(pipeline, scenario.pools.clone(), 1).expect("runtime");
+        let mut serving = Serving {
+            runtime,
+            publisher: Publisher::new(governor),
+        };
+        serving.tick(&[], &scenario.feed);
+        serving
+    }
+
+    /// Applies one event batch and publishes the ranking if it moved.
+    fn tick(&mut self, events: &[Event], feed: &PriceTable) -> usize {
+        let report = self.runtime.apply_events(events, feed).expect("tick");
+        self.publisher
+            .publish_if_changed(self.runtime.standing_revision(), &report.opportunities);
+        report.opportunities.len()
+    }
 }
 
 /// One governed reader's tally after the storm.
@@ -147,18 +170,12 @@ fn run_reader(handle: ServeHandle, plan: ReaderPlan, done: Arc<AtomicBool>) -> R
 }
 
 /// Replays one full tick-stream epoch, pushing per-tick latencies.
-fn replay_epoch(serve: &mut ServeRuntime, scenario: &Scenario, tick_ns: &mut Vec<u64>) {
+fn replay_epoch(serve: &mut Serving, scenario: &Scenario, tick_ns: &mut Vec<u64>) {
     let mut feed = scenario.feed.clone();
     for batch in &scenario.ticks {
         batch.apply_feed(&mut feed);
         let start = Instant::now();
-        black_box(
-            serve
-                .apply_events(&batch.events, &feed)
-                .expect("storm tick")
-                .opportunities
-                .len(),
-        );
+        black_box(serve.tick(&batch.events, &feed));
         tick_ns.push(start.elapsed().as_nanos() as u64);
     }
 }
@@ -167,7 +184,7 @@ fn replay_epoch(serve: &mut ServeRuntime, scenario: &Scenario, tick_ns: &mut Vec
 /// storm, then the reads/s, tick-overhead, and throttling gates.
 fn storm_pass(_c: &mut Criterion) {
     let scenario = scenario();
-    let mut serve = serve_runtime(&scenario, governor());
+    let mut serve = Serving::new(&scenario, governor());
 
     // --- Quiet phase: the event path with zero readers attached. ---
     let mut quiet_tick_ns = Vec::with_capacity(EPOCHS * TICKS);
@@ -185,7 +202,7 @@ fn storm_pass(_c: &mut Criterion) {
         .plans(scenario.feed.len(), scenario.pools.len())
         .into_iter()
         .map(|plan| {
-            let handle = serve.handle(ClientClass::ALL[plan.class_index]);
+            let handle = serve.publisher.handle(ClientClass::ALL[plan.class_index]);
             let done = Arc::clone(&done);
             std::thread::spawn(move || run_reader(handle, plan, done))
         })
@@ -218,8 +235,8 @@ fn storm_pass(_c: &mut Criterion) {
     let quiet_p99 = percentile_ns(&quiet_tick_ns, 0.99);
     let storm_p99 = percentile_ns(&storm_tick_ns, 0.99);
     let tick_overhead = storm_p99 as f64 / quiet_p99.max(1) as f64;
-    let publish = serve.publish_stats();
-    let admission = serve.governor_stats();
+    let publish = serve.publisher.stats();
+    let admission = serve.publisher.governor_stats();
 
     JsonLine::bench("serve_storm")
         .count("pools", POOLS)
@@ -239,7 +256,7 @@ fn storm_pass(_c: &mut Criterion) {
         .int("admitted", admission.total_admitted())
         .int("publishes", publish.publishes)
         .int("noop_deltas", publish.noop_deltas)
-        .int("revision_final", serve.published_revision())
+        .int("revision_final", serve.publisher.revision())
         .emit();
 
     assert!(
@@ -264,13 +281,13 @@ fn storm_pass(_c: &mut Criterion) {
 }
 
 /// Wall-clock criterion group for the raw read path: the ungoverned
-/// wait-free load (pin, pointer load, refcount bump) and one governed
-/// query end to end.
+/// cached load (revision check, refcount bump) and one governed query
+/// end to end.
 fn bench_read_path(c: &mut Criterion) {
     let scenario = scenario();
     // Criterion iterates far past any storm envelope; open the governor
     // so the governed sample times admission + load, not the deny path.
-    let serve = serve_runtime(
+    let serve = Serving::new(
         &scenario,
         GovernorConfig {
             limits: [ClassLimit {
@@ -281,7 +298,7 @@ fn bench_read_path(c: &mut Criterion) {
         },
     );
     let mut group = c.benchmark_group("serve_storm/read");
-    let handle = serve.handle(ClientClass::Interactive);
+    let handle = serve.publisher.handle(ClientClass::Interactive);
     group.bench_function("ungoverned_load", |b| {
         b.iter(|| black_box(handle.load().revision()))
     });

@@ -43,7 +43,6 @@ pub fn pipeline_for(config: &BotConfig) -> OpportunityPipeline {
         max_cycle_len: config.max_loop_len,
         execution_cost_usd: 0.0,
         min_net_profit_usd: config.min_profit_usd,
-        parallel: config.workers > 1,
         top_k: None,
         ..PipelineConfig::default()
     })
@@ -305,7 +304,7 @@ impl ArbBot {
         self.tick_hook = Some(hook);
     }
 
-    /// A wait-free reader handle in `class` (`None` until
+    /// A reader handle in `class` (`None` until
     /// [`ArbBot::enable_serving`]).
     pub fn serve_handle(&self, class: ClientClass) -> Option<ServeHandle> {
         self.serving.as_ref().map(|p| p.handle(class))

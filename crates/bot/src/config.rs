@@ -27,10 +27,6 @@ pub struct BotConfig {
     pub method: Method,
     /// Solver options for Convex.
     pub convex: SolverOptions,
-    /// Parallel loop evaluation: values > 1 enable the engine's parallel
-    /// evaluation stage (which uses all available cores); 1 forces the
-    /// serial path. The exact value is not a thread-count bound.
-    pub workers: usize,
 }
 
 impl Default for BotConfig {
@@ -41,7 +37,6 @@ impl Default for BotConfig {
             strategy: StrategyChoice::MaxMax,
             method: Method::ClosedForm,
             convex: SolverOptions::default(),
-            workers: 4,
         }
     }
 }
@@ -56,6 +51,5 @@ mod tests {
         assert_eq!(c.max_loop_len, 3);
         assert!(c.min_profit_usd > 0.0);
         assert_eq!(c.strategy, StrategyChoice::MaxMax);
-        assert!(c.workers >= 1);
     }
 }

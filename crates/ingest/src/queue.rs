@@ -79,8 +79,8 @@ impl QueueState {
     }
 
     /// Pushes the updated stats into the registry mirror, if attached.
-    pub fn sync_obs(&self) {
-        if let Some(mirror) = &self.obs {
+    pub fn sync_obs(&mut self) {
+        if let Some(mirror) = &mut self.obs {
             mirror.sync(&self.stats);
         }
     }

@@ -163,7 +163,9 @@ impl Ingestor {
     /// (`ingest.seal_ns` → `journal_ns`/`coalesce_ns`/`queue_ns`) and a
     /// registry mirror of [`IngestStats`] under `ingest.*`, updated
     /// under the queue lock so the registry and the legacy struct can
-    /// never disagree.
+    /// never disagree. Totals are mirrored by delta, so an ingestor
+    /// rebuilt on the same registry keeps its counters climbing; attach
+    /// each ingestor once.
     pub fn set_obs(&mut self, obs: &Obs) {
         self.obs = Some(SealSpans {
             seal: obs.span("ingest.seal_ns"),
@@ -172,7 +174,7 @@ impl Ingestor {
             queue: obs.span("ingest.queue_ns"),
         });
         let mut guard = self.shared.lock();
-        let mirror = StatsMirror::new(obs.registry());
+        let mut mirror = StatsMirror::new(obs.registry());
         mirror.sync(&guard.stats);
         guard.obs = Some(mirror);
         drop(guard);

@@ -72,7 +72,9 @@ impl IngestStats {
 /// Pre-resolved registry instruments mirroring [`IngestStats`] — the
 /// flow ledger exposed through `arb-obs` under `ingest.*`. `sync` is
 /// called with the stats already updated (under the queue lock), so
-/// the registry and the legacy struct can never drift apart.
+/// the registry and the legacy struct can never drift apart. Totals
+/// are mirrored by delta, so an ingestor rebuilt on the same registry
+/// (recovery, a bot rebuilding from chain) adds to its predecessor's.
 #[derive(Debug, Clone)]
 pub(crate) struct StatsMirror {
     events_in: Counter,
@@ -87,6 +89,9 @@ pub(crate) struct StatsMirror {
     journal_write_failures: Counter,
     journal_recommits: Counter,
     coalesce_ratio: Gauge,
+    /// The stats value last pushed to the registry; the next sync adds
+    /// only the field-wise delta beyond this.
+    mirrored: IngestStats,
 }
 
 impl StatsMirror {
@@ -104,24 +109,37 @@ impl StatsMirror {
             journal_write_failures: registry.counter("ingest.journal_write_failures"),
             journal_recommits: registry.counter("ingest.journal_recommits"),
             coalesce_ratio: registry.gauge("ingest.coalesce_ratio"),
+            mirrored: IngestStats::default(),
         }
     }
 
-    pub fn sync(&self, stats: &IngestStats) {
-        self.events_in.set_at_least(stats.events_in);
-        self.events_out.set_at_least(stats.events_out);
-        self.coalesced_away.set_at_least(stats.coalesced_away);
-        self.batches_sealed.set_at_least(stats.batches_sealed);
-        self.batches_delivered.set_at_least(stats.batches_delivered);
-        self.degraded_merges.set_at_least(stats.degraded_merges);
+    /// Pushes the delta between `stats` and the last sync into the
+    /// registry. Every total is monotone over one ingestor's lifetime,
+    /// so the deltas are never negative. The queue's high-water mark is
+    /// a maximum, not a total, so it is mirrored as a maximum.
+    pub fn sync(&mut self, stats: &IngestStats) {
+        let m = &self.mirrored;
+        self.events_in.add(stats.events_in - m.events_in);
+        self.events_out.add(stats.events_out - m.events_out);
+        self.coalesced_away
+            .add(stats.coalesced_away - m.coalesced_away);
+        self.batches_sealed
+            .add(stats.batches_sealed - m.batches_sealed);
+        self.batches_delivered
+            .add(stats.batches_delivered - m.batches_delivered);
+        self.degraded_merges
+            .add(stats.degraded_merges - m.degraded_merges);
         self.depth_high_water
             .set_at_least(stats.depth_high_water as u64);
-        self.stall_ns.set_at_least(stats.stall_nanos);
-        self.stall_timeouts.set_at_least(stats.stall_timeouts);
+        self.stall_ns.add(stats.stall_nanos - m.stall_nanos);
+        self.stall_timeouts
+            .add(stats.stall_timeouts - m.stall_timeouts);
         self.journal_write_failures
-            .set_at_least(stats.journal_write_failures);
-        self.journal_recommits.set_at_least(stats.journal_recommits);
+            .add(stats.journal_write_failures - m.journal_write_failures);
+        self.journal_recommits
+            .add(stats.journal_recommits - m.journal_recommits);
         self.coalesce_ratio.set(stats.coalesce_ratio());
+        self.mirrored = *stats;
     }
 }
 
@@ -175,7 +193,7 @@ mod tests {
     #[test]
     fn mirror_tracks_stats_and_ratio() {
         let registry = Registry::new();
-        let mirror = StatsMirror::new(&registry);
+        let mut mirror = StatsMirror::new(&registry);
         let stats = IngestStats {
             events_in: 10,
             events_out: 4,
@@ -203,6 +221,33 @@ mod tests {
         assert_eq!(snap.counter("ingest.journal_write_failures"), Some(4));
         assert_eq!(snap.counter("ingest.journal_recommits"), Some(3));
         assert_eq!(snap.gauge("ingest.coalesce_ratio"), Some(2.5));
+    }
+
+    #[test]
+    fn rebuilt_ingestor_keeps_the_registry_counting() {
+        use arb_amm::token::TokenId;
+        use arb_obs::Obs;
+
+        use crate::{IngestConfig, Ingestor};
+
+        let obs = Obs::default();
+        let offer = |events: u32| {
+            let mut ingestor = Ingestor::new(IngestConfig::default()).with_obs(&obs);
+            let source = ingestor.register_source("feed");
+            let moves: Vec<(TokenId, f64)> = (0..events)
+                .map(|i| (TokenId::new(i), f64::from(i) + 1.0))
+                .collect();
+            ingestor.offer_feed_moves(source, &moves).expect("offer");
+            ingestor.seal_block().expect("seal");
+        };
+        offer(5);
+        // The rebuilt ingestor restarts its own totals at zero; the
+        // registry keeps counting from where the first one left off.
+        offer(3);
+        let snapshot = obs.snapshot();
+        assert_eq!(snapshot.counter("ingest.events_in"), Some(8));
+        assert_eq!(snapshot.counter("ingest.batches_sealed"), Some(2));
+        assert_eq!(snapshot.counter("ingest.depth_high_water"), Some(1));
     }
 
     #[test]

@@ -1,40 +1,22 @@
-//! Lock-free snapshot publication: one writer, any number of wait-free
-//! readers.
+//! Snapshot publication: one writer, any number of readers.
 //!
-//! The cell holds the current [`RankedSnapshot`] behind a raw
-//! [`AtomicPtr`]. Publishing swaps the pointer; reading loads it and
-//! bumps the underlying `Arc`'s strong count. The only hazard is the
-//! window between a reader's pointer load and its refcount bump — the
-//! writer must not release its own reference in that window. We close
-//! it with epoch-based reclamation:
+//! The cell holds the current [`RankedSnapshot`] behind a mutex, plus an
+//! atomic copy of its revision. Publishing swaps the `Arc` and stores
+//! the revision (`Release`) while holding the lock. Each
+//! [`ServeHandle`] caches the last `Arc` it loaded; a read compares the
+//! `Acquire`-loaded revision with the cached snapshot's and takes the
+//! lock only when they differ — at most once per publish per handle.
+//! A steady-state read is therefore one atomic load and one refcount
+//! bump, and the writer holds the lock only for the swap.
 //!
-//! * the cell carries a global epoch counter, bumped once per publish;
-//! * each reader handle owns a **pin slot** (one per handle, and a
-//!   handle is `Send + !Sync`, so one per thread of use): before
-//!   loading the pointer it stores the epoch it observed, after the
-//!   refcount bump it stores the `UNPINNED` sentinel;
-//! * the writer retires the swapped-out pointer tagged with the
-//!   **post-bump** epoch, and only releases retired references whose
-//!   tag is `<=` the minimum pinned epoch across all slots.
-//!
-//! Safety argument (everything is `SeqCst`, so one total order): a
-//! reader pinned at epoch `e` loads the pointer *after* its pin store.
-//! A retired pointer tagged `r <= e` was swapped out *before* the epoch
-//! reached `r`, hence before the reader's epoch load that returned
-//! `e >= r`, hence before the reader's pointer load — the reader cannot
-//! have loaded it. Conversely a reader whose pin was not yet visible to
-//! the writer's scan stored its pin after the scan's read, hence loaded
-//! the pointer after the writer's swap — it holds the new snapshot, not
-//! the retired one. Either way releasing tagged-`<= min` retirees never
-//! frees a pointer a reader is between loading and retaining.
-//!
-//! "Release" here only drops the cell's own `Arc` reference: a reader
-//! that already bumped the count keeps its snapshot alive arbitrarily
-//! long without ever blocking the writer.
+//! Serve revisions never repeat (the [`Publisher`] numbers them), so an
+//! equal revision means the cached snapshot *is* the current one. A
+//! reader that already holds a snapshot keeps it alive arbitrarily long
+//! without ever blocking the writer.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use arb_engine::ArbitrageOpportunity;
@@ -45,150 +27,55 @@ use crate::error::ServeError;
 use crate::governor::{ClientClass, Governor, GovernorConfig, GovernorStats, Permit};
 use crate::snapshot::RankedSnapshot;
 
-/// Slot value meaning "not inside a read": also the identity of `min`,
-/// so unpinned slots never hold back reclamation.
-const UNPINNED: u64 = u64::MAX;
-
 /// Published deltas retained for subscribers before they must resync.
 const DELTA_RING: usize = 64;
 
-/// A reader's pin slot. Owned by exactly one [`ServeHandle`]; the cell
-/// keeps a second `Arc` to scan it.
+/// The shared publication cell.
 #[derive(Debug)]
-struct ReaderSlot {
-    pinned: AtomicU64,
-}
-
-/// A swapped-out snapshot pointer awaiting release. The pointer came
-/// from `Arc::into_raw` and is released with `Arc::from_raw` exactly
-/// once, on the writer thread — sending the bare pointer is safe
-/// because `RankedSnapshot` is `Send + Sync`.
-#[derive(Debug)]
-struct RetiredPtr(*const RankedSnapshot);
-
-// SAFETY: see `RetiredPtr` — ownership of one strong count moves with
-// the struct; the pointee is `Send + Sync`.
-unsafe impl Send for RetiredPtr {}
-
-#[derive(Debug, Default)]
-struct WriterState {
-    /// `(retire_epoch, pointer)` pairs not yet proven unreachable.
-    retired: Vec<(u64, RetiredPtr)>,
-}
-
-#[derive(Debug, Default)]
-struct DeltaRing {
-    deltas: VecDeque<Arc<RankingDelta>>,
-}
-
-/// The shared publication cell. Readers touch only `current`, `epoch`,
-/// and their own slot — never a lock.
-#[derive(Debug)]
-pub(crate) struct SnapshotCell {
-    current: AtomicPtr<RankedSnapshot>,
-    epoch: AtomicU64,
-    readers: Mutex<Vec<Arc<ReaderSlot>>>,
-    writer: Mutex<WriterState>,
+struct SnapshotCell {
+    current: Mutex<Arc<RankedSnapshot>>,
+    /// `current`'s revision, readable without the lock. Stored
+    /// (`Release`) only while `current` is locked, so a reader whose
+    /// `Acquire` load sees it move and then locks gets that snapshot or
+    /// a newer one, and sees the delta pushed before it.
+    revision: AtomicU64,
     /// Recent deltas for subscribers. Only subscribers lock this; the
     /// point-query path never does.
-    ring: Mutex<DeltaRing>,
+    ring: Mutex<VecDeque<Arc<RankingDelta>>>,
 }
 
 impl SnapshotCell {
     fn new(initial: Arc<RankedSnapshot>) -> Self {
         Self {
-            current: AtomicPtr::new(Arc::into_raw(initial).cast_mut()),
-            epoch: AtomicU64::new(0),
-            readers: Mutex::new(Vec::new()),
-            writer: Mutex::new(WriterState::default()),
-            ring: Mutex::new(DeltaRing::default()),
+            revision: AtomicU64::new(initial.revision()),
+            current: Mutex::new(initial),
+            ring: Mutex::new(VecDeque::new()),
         }
     }
 
-    fn register(&self) -> Arc<ReaderSlot> {
-        let slot = Arc::new(ReaderSlot {
-            pinned: AtomicU64::new(UNPINNED),
-        });
-        self.readers
-            .lock()
-            .expect("reader registry lock")
-            .push(Arc::clone(&slot));
-        slot
+    /// The revision of the current snapshot.
+    fn revision(&self) -> u64 {
+        self.revision.load(Ordering::Acquire)
     }
 
-    /// The wait-free read: pin, load, retain, unpin. See the module
-    /// docs for why the pin makes the load-to-retain window safe.
-    fn load(&self, slot: &ReaderSlot) -> Arc<RankedSnapshot> {
-        slot.pinned
-            .store(self.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
-        let ptr = self.current.load(Ordering::SeqCst);
-        // SAFETY: `ptr` came from `Arc::into_raw` and the pin protocol
-        // guarantees the writer has not released its reference between
-        // our load and this bump (module-level argument).
-        let snapshot = unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        };
-        slot.pinned.store(UNPINNED, Ordering::SeqCst);
-        snapshot
+    /// The current snapshot, under the lock.
+    fn current(&self) -> Arc<RankedSnapshot> {
+        Arc::clone(&self.current.lock().expect("snapshot cell lock"))
     }
 
-    /// Writer side: swap in `next`, retire the old pointer, release
-    /// every retiree no pinned reader can still reach.
+    /// Writer side: swap in `next` and advertise its revision.
     fn install(&self, next: Arc<RankedSnapshot>) {
-        let old = self
-            .current
-            .swap(Arc::into_raw(next).cast_mut(), Ordering::SeqCst);
-        let retire_epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let min_pinned = self
-            .readers
-            .lock()
-            .expect("reader registry lock")
-            .iter()
-            .map(|slot| slot.pinned.load(Ordering::SeqCst))
-            .min()
-            .unwrap_or(UNPINNED);
-        let mut writer = self.writer.lock().expect("writer state lock");
-        writer.retired.push((retire_epoch, RetiredPtr(old)));
-        writer.retired.retain(|(tag, ptr)| {
-            if *tag <= min_pinned {
-                // SAFETY: releases the single strong count carried by
-                // the `RetiredPtr`; no reader can be mid-retain on it
-                // (module-level argument).
-                unsafe { drop(Arc::from_raw(ptr.0)) };
-                false
-            } else {
-                true
-            }
-        });
+        let mut current = self.current.lock().expect("snapshot cell lock");
+        self.revision.store(next.revision(), Ordering::Release);
+        *current = next;
     }
 
     fn push_delta(&self, delta: RankingDelta) {
         let mut ring = self.ring.lock().expect("delta ring lock");
-        if ring.deltas.len() == DELTA_RING {
-            ring.deltas.pop_front();
+        if ring.len() == DELTA_RING {
+            ring.pop_front();
         }
-        ring.deltas.push_back(Arc::new(delta));
-    }
-}
-
-impl Drop for SnapshotCell {
-    fn drop(&mut self) {
-        // SAFETY: no readers remain (dropping the cell requires every
-        // handle's `Arc<SnapshotCell>` to be gone); release the current
-        // pointer and every still-retired one exactly once each.
-        unsafe {
-            drop(Arc::from_raw(self.current.load(Ordering::SeqCst)));
-            for (_, ptr) in self
-                .writer
-                .lock()
-                .expect("writer state lock")
-                .retired
-                .drain(..)
-            {
-                drop(Arc::from_raw(ptr.0));
-            }
-        }
+        ring.push_back(Arc::new(delta));
     }
 }
 
@@ -210,7 +97,7 @@ pub struct PublishStats {
 /// counters are absolute mirrors (`set_at_least`), not deltas.
 #[derive(Debug)]
 struct PublishObs {
-    /// Wraps snapshot build + diff + pointer install.
+    /// Wraps snapshot build + diff + install.
     publish: SpanTimer,
     publishes: Counter,
     skipped: Counter,
@@ -304,7 +191,7 @@ impl Publisher {
 
     /// Publishes a new ranking unconditionally: builds the snapshot and
     /// its indexes, diffs against the previous revision, pushes the
-    /// delta, and swaps the pointer. Returns the new serve revision.
+    /// delta, and swaps the snapshot in. Returns the new serve revision.
     pub fn publish(&mut self, ranked: Vec<ArbitrageOpportunity>) -> u64 {
         let span = self.obs.as_ref().map(|o| o.publish.start());
         self.revision += 1;
@@ -380,10 +267,9 @@ impl Publisher {
     pub fn handle(&self, class: ClientClass) -> ServeHandle {
         ServeHandle {
             cell: Arc::clone(&self.cell),
-            slot: self.cell.register(),
+            cached: RefCell::new(Arc::clone(&self.last)),
             governor: Arc::clone(&self.governor),
             class,
-            _not_sync: PhantomData,
         }
     }
 
@@ -393,38 +279,27 @@ impl Publisher {
     pub fn subscribe(&self) -> Subscription {
         Subscription {
             cell: Arc::clone(&self.cell),
-            slot: self.cell.register(),
             seen: None,
         }
     }
 }
 
-/// A per-thread reader endpoint: wait-free loads, governed queries.
+/// A per-thread reader endpoint: cached loads, governed queries.
 ///
-/// `Send` (move it into a reader thread) but **not** `Sync` — the pin
-/// protocol requires the slot to be used from one thread at a time, so
-/// sharing a handle is rejected at compile time. [`ServeHandle::clone`]
-/// registers a fresh slot for the new owner.
-#[derive(Debug)]
+/// The handle caches the last snapshot it loaded and refreshes it only
+/// when the published revision moves. So an idle handle keeps **at most
+/// one superseded snapshot** alive, until its next load or its drop.
+///
+/// `Send` (move it into a reader thread) but **not** `Sync`: the cache
+/// is a `RefCell`, so sharing a handle is rejected at compile time.
+/// A clone starts from the original's cached snapshot and refreshes
+/// independently of it.
+#[derive(Debug, Clone)]
 pub struct ServeHandle {
     cell: Arc<SnapshotCell>,
-    slot: Arc<ReaderSlot>,
+    cached: RefCell<Arc<RankedSnapshot>>,
     governor: Arc<Governor>,
     class: ClientClass,
-    /// `Cell<()>` is `Send + !Sync`; inherit exactly that.
-    _not_sync: PhantomData<std::cell::Cell<()>>,
-}
-
-impl Clone for ServeHandle {
-    fn clone(&self) -> Self {
-        Self {
-            cell: Arc::clone(&self.cell),
-            slot: self.cell.register(),
-            governor: Arc::clone(&self.governor),
-            class: self.class,
-            _not_sync: PhantomData,
-        }
-    }
 }
 
 impl ServeHandle {
@@ -434,17 +309,21 @@ impl ServeHandle {
         self.class
     }
 
-    /// Wait-free, ungoverned load of the current snapshot — no locks,
-    /// no allocation beyond the `Arc` bump. Telemetry and internal
-    /// consumers; external readers should go through
-    /// [`ServeHandle::query`].
+    /// Ungoverned load of the current snapshot: one atomic load and an
+    /// `Arc` bump, plus one lock the first time after each publish. No
+    /// allocation. Telemetry and internal consumers; external readers
+    /// should go through [`ServeHandle::query`].
     #[must_use]
     pub fn load(&self) -> Arc<RankedSnapshot> {
-        self.cell.load(&self.slot)
+        let mut cached = self.cached.borrow_mut();
+        if self.cell.revision() != cached.revision() {
+            *cached = self.cell.current();
+        }
+        Arc::clone(&cached)
     }
 
     /// The governed read: admission first (token bucket + concurrency
-    /// budget), then the same wait-free load. The returned guard pins
+    /// budget), then the same cached load. The returned guard pins
     /// the concurrency budget until dropped.
     ///
     /// # Errors
@@ -454,7 +333,7 @@ impl ServeHandle {
     pub fn query(&self) -> Result<ReadGuard, ServeError> {
         let permit = self.governor.admit(self.class)?;
         Ok(ReadGuard {
-            snapshot: self.cell.load(&self.slot),
+            snapshot: self.load(),
             _permit: permit,
         })
     }
@@ -500,23 +379,22 @@ pub enum SubscriptionUpdate {
 #[derive(Debug)]
 pub struct Subscription {
     cell: Arc<SnapshotCell>,
-    slot: Arc<ReaderSlot>,
     /// Last revision the subscriber has fully applied; `None` before
     /// the first resync.
     seen: Option<u64>,
 }
 
 impl Subscription {
-    /// Drains everything published since the last poll. Locks only the
-    /// delta ring (never the snapshot path) for the copy-out.
+    /// Drains everything published since the last poll. Locks the
+    /// delta ring for the copy-out, and the snapshot cell only to
+    /// resync.
     pub fn poll(&mut self) -> SubscriptionUpdate {
         let Some(seen) = self.seen else {
             return self.resync();
         };
         let pending: Vec<Arc<RankingDelta>> = {
             let ring = self.cell.ring.lock().expect("delta ring lock");
-            ring.deltas
-                .iter()
+            ring.iter()
                 .filter(|delta| delta.from_revision >= seen)
                 .cloned()
                 .collect()
@@ -524,7 +402,7 @@ impl Subscription {
         match pending.first() {
             None => {
                 // Nothing newer in the ring; confirm we are current.
-                if self.cell.load(&self.slot).revision() == seen {
+                if self.cell.revision() == seen {
                     SubscriptionUpdate::Current
                 } else {
                     self.resync()
@@ -554,7 +432,7 @@ impl Subscription {
     }
 
     fn resync(&mut self) -> SubscriptionUpdate {
-        let snapshot = self.cell.load(&self.slot);
+        let snapshot = self.cell.current();
         self.seen = Some(snapshot.revision());
         SubscriptionUpdate::Resync(snapshot)
     }
@@ -650,8 +528,59 @@ mod tests {
         for _ in 0..100 {
             publisher.publish(Vec::new());
         }
-        // The held snapshot outlives any number of later publishes.
+        // The held snapshot outlives any number of later publishes, and
+        // the handle, idle through them all, loads the latest.
         assert_eq!(held.revision(), 1);
-        assert_eq!(handle.load().revision(), 101);
+        assert_eq!(handle.load().revision(), publisher.revision());
+        assert_eq!(publisher.revision(), 101);
+        // Once the handle has refreshed, the caller's is the last
+        // reference to the held snapshot, and it still reads.
+        assert_eq!(Arc::strong_count(&held), 1);
+        assert_eq!(held.revision(), 1);
+        assert!(held.entries().is_empty());
+    }
+
+    #[test]
+    fn cloned_handle_refreshes_independently() {
+        let mut publisher = Publisher::new(GovernorConfig::default());
+        let original = publisher.handle(ClientClass::Analytics);
+        publisher.publish(Vec::new());
+        assert_eq!(original.load().revision(), 1);
+        let clone = original.clone();
+        assert_eq!(clone.class(), ClientClass::Analytics);
+
+        publisher.publish(Vec::new());
+        assert_eq!(clone.load().revision(), 2);
+        // The clone's refresh left the original's cache alone.
+        assert_eq!(original.cached.borrow().revision(), 1);
+
+        publisher.publish(Vec::new());
+        assert_eq!(original.load().revision(), 3);
+        assert_eq!(clone.cached.borrow().revision(), 2);
+        assert_eq!(clone.load().revision(), 3);
+    }
+
+    #[test]
+    fn idle_handle_keeps_at_most_one_superseded_snapshot() {
+        let mut publisher = Publisher::new(GovernorConfig::default());
+        let idle = publisher.handle(ClientClass::Bulk);
+        let probe = publisher.handle(ClientClass::Bulk);
+        publisher.publish(Vec::new());
+        let first = idle.load();
+        let mut superseded = Vec::new();
+        for _ in 0..100 {
+            publisher.publish(Vec::new());
+            superseded.push(Arc::downgrade(&probe.load()));
+        }
+        // Only the idle handle's cache still holds revision 1 besides
+        // the test's own reference.
+        assert_eq!(Arc::strong_count(&first), 2);
+        // Every later revision but the current one is gone.
+        let latest = superseded.pop().expect("100 publishes");
+        assert!(superseded.iter().all(|weak| weak.strong_count() == 0));
+        assert!(latest.strong_count() > 0);
+        // The idle handle's next load releases revision 1.
+        assert_eq!(idle.load().revision(), 101);
+        assert_eq!(Arc::strong_count(&first), 1);
     }
 }

@@ -22,7 +22,7 @@
 //! | [`journal`] | `arb-journal` | durable event journal, engine snapshots, crash recovery |
 //! | [`ingest`] | `arb-ingest` | staged ingestion front-end: coalescing, multiplexing, backpressure |
 //! | [`workloads`] | `arb-workloads` | seeded deterministic scenario catalog (workload generator) |
-//! | [`serve`] | `arb-serve` | lock-free ranked-snapshot serving: wait-free queries, delta streams, admission control |
+//! | [`serve`] | `arb-serve` | ranked-snapshot serving: revision-cached reads, delta streams, admission control |
 //! | [`chaos`] | `arb-chaos` | deterministic fault injection + chaos-soak reconvergence harness |
 //! | [`bot`] | `arb-bot` | engine-driven flash-execute bot + market sim |
 //!
@@ -118,7 +118,7 @@ pub mod prelude {
     pub use arb_obs::{FlightRecorder, Obs, ObsOptions, Registry, RegistrySnapshot};
     pub use arb_serve::{
         ClientClass, GovernorConfig, Publisher, RankedSnapshot, RankingDelta, ServeError,
-        ServeHandle, ServeRuntime, Subscription, SubscriptionUpdate,
+        ServeHandle, Subscription, SubscriptionUpdate,
     };
     pub use arb_snapshot::{Generator, Snapshot, SnapshotConfig};
     pub use arb_workloads::{Scenario, ScenarioConfig, TickBatch, WorkloadSpec};

@@ -97,8 +97,8 @@ fn publish_allocations(n: u32) -> u64 {
     next[0] = entry(0, f64::from(n));
     next[1] = entry(1, f64::from(n) - 0.5);
     next[2] = entry(n, f64::from(n - 2));
-    // Warm once on the same shape so one-off growth (the delta ring, the
-    // retire list) is not counted.
+    // Warm once on the same shape so one-off growth (the delta ring) is
+    // not counted.
     publisher.publish_if_changed(2, &next);
     publisher.publish_if_changed(3, &base);
 

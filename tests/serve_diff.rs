@@ -7,7 +7,7 @@
 //! publisher re-anchors, readers and subscriptions stay attached).
 
 use arbloops::prelude::*;
-use arbloops::serve::{apply, GovernorConfig, ServeRuntime, SubscriptionUpdate};
+use arbloops::serve::{apply, GovernorConfig, Publisher, SubscriptionUpdate};
 use arbloops::workloads::ScenarioConfig;
 
 type Fingerprint = Vec<(Vec<PoolId>, String, u64)>;
@@ -23,6 +23,19 @@ fn fingerprint(entries: &[ArbitrageOpportunity]) -> Fingerprint {
             )
         })
         .collect()
+}
+
+/// Applies one event batch and publishes the ranking if the runtime's
+/// standing revision moved.
+fn step(
+    runtime: &mut ShardedRuntime,
+    publisher: &mut Publisher,
+    events: &[Event],
+    feed: &PriceTable,
+) -> RuntimeReport {
+    let report = runtime.apply_events(events, feed).expect("tick");
+    publisher.publish_if_changed(runtime.standing_revision(), &report.opportunities);
+    report
 }
 
 fn config(seed: u64) -> ScenarioConfig {
@@ -46,12 +59,13 @@ fn replay(workload: &'static str, config: &ScenarioConfig) -> usize {
     let subscribe_at = scenario.ticks.len() / 4;
     let restore_at = scenario.ticks.len() / 2;
 
-    let runtime = ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 4)
-        .expect("runtime");
-    let mut serve = ServeRuntime::new(runtime, GovernorConfig::default());
-    serve.refresh(&feed).expect("cold start");
+    let mut runtime =
+        ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 4)
+            .expect("runtime");
+    let mut publisher = Publisher::new(GovernorConfig::default());
+    step(&mut runtime, &mut publisher, &[], &feed);
 
-    let handle = serve.handle(arbloops::serve::ClientClass::Analytics);
+    let handle = publisher.handle(arbloops::serve::ClientClass::Analytics);
     let mut subscription = None;
     let mut view: Vec<ArbitrageOpportunity> = Vec::new();
     let mut deltas_applied = 0usize;
@@ -60,7 +74,7 @@ fn replay(workload: &'static str, config: &ScenarioConfig) -> usize {
         if tick == subscribe_at {
             // Attach mid-run: the first poll resyncs to the current
             // snapshot, from which deltas alone must suffice.
-            let mut sub = serve.subscribe();
+            let mut sub = publisher.subscribe();
             let SubscriptionUpdate::Resync(base) = sub.poll() else {
                 panic!("first poll must resync");
             };
@@ -70,14 +84,13 @@ fn replay(workload: &'static str, config: &ScenarioConfig) -> usize {
         if tick == restore_at {
             // Checkpoint/restore the compute side; the serving side
             // (cell, handles, subscription) survives the swap.
-            let (runtime, publisher) = serve.into_parts();
             let checkpoint = runtime.checkpoint();
-            let restored = ShardedRuntime::restore(OpportunityPipeline::default(), &checkpoint)
+            runtime = ShardedRuntime::restore(OpportunityPipeline::default(), &checkpoint)
                 .expect("restore");
-            serve = ServeRuntime::with_publisher(restored, publisher);
+            publisher.reanchor();
         }
         batch.apply_feed(&mut feed);
-        serve.apply_events(&batch.events, &feed).expect("tick");
+        step(&mut runtime, &mut publisher, &batch.events, &feed);
 
         if let Some(sub) = subscription.as_mut() {
             match sub.poll() {
@@ -134,28 +147,28 @@ fn restore_publishes_a_noop_delta_when_ranking_is_stable() {
     let spec = arbloops::workloads::find("steady-sparse").expect("in catalog");
     let scenario = spec.scenario(&config(7_777)).expect("scenario");
     let mut feed = scenario.feed.clone();
-    let runtime = ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 4)
-        .expect("runtime");
-    let mut serve = ServeRuntime::new(runtime, GovernorConfig::default());
-    serve.refresh(&feed).expect("cold start");
-    let revision_before = serve.published_revision();
+    let mut runtime =
+        ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 4)
+            .expect("runtime");
+    let mut publisher = Publisher::new(GovernorConfig::default());
+    step(&mut runtime, &mut publisher, &[], &feed);
+    let revision_before = publisher.revision();
 
     // Restore with no intervening events: the refresh after restore
     // must re-publish (re-anchored) and the delta must be a noop.
-    let (runtime, publisher) = serve.into_parts();
     let checkpoint = runtime.checkpoint();
-    let restored =
+    let mut runtime =
         ShardedRuntime::restore(OpportunityPipeline::default(), &checkpoint).expect("restore");
-    let mut serve = ServeRuntime::with_publisher(restored, publisher);
-    let mut sub = serve.subscribe();
+    publisher.reanchor();
+    let mut sub = publisher.subscribe();
     let SubscriptionUpdate::Resync(base) = sub.poll() else {
         panic!("first poll must resync");
     };
-    let noops_before = serve.publish_stats().noop_deltas;
-    serve.refresh(&feed).expect("post-restore refresh");
-    assert_eq!(serve.published_revision(), revision_before + 1);
+    let noops_before = publisher.stats().noop_deltas;
+    step(&mut runtime, &mut publisher, &[], &feed);
+    assert_eq!(publisher.revision(), revision_before + 1);
     assert_eq!(
-        serve.publish_stats().noop_deltas,
+        publisher.stats().noop_deltas,
         noops_before + 1,
         "a bit-identical restore must publish a noop delta"
     );
@@ -172,7 +185,7 @@ fn restore_publishes_a_noop_delta_when_ranking_is_stable() {
     let mut view = view;
     for batch in &scenario.ticks {
         batch.apply_feed(&mut feed);
-        serve.apply_events(&batch.events, &feed).expect("tick");
+        step(&mut runtime, &mut publisher, &batch.events, &feed);
         if let SubscriptionUpdate::Deltas(chain) = sub.poll() {
             for delta in chain {
                 moved |= !delta.is_noop();
@@ -180,7 +193,7 @@ fn restore_publishes_a_noop_delta_when_ranking_is_stable() {
             }
         }
     }
-    let final_snapshot = serve.handle(arbloops::serve::ClientClass::Bulk).load();
+    let final_snapshot = publisher.handle(arbloops::serve::ClientClass::Bulk).load();
     assert_eq!(fingerprint(&view), fingerprint(final_snapshot.entries()));
     assert!(moved, "the tick stream never produced a real delta");
 }
@@ -201,10 +214,11 @@ fn untouched_shards_share_their_entries_across_a_tick() {
     let spec = arbloops::workloads::find("steady-sparse").expect("in catalog");
     let scenario = spec.scenario(&config(9_191)).expect("scenario");
     let feed = scenario.feed.clone();
-    let runtime = ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 4)
-        .expect("runtime");
-    let mut serve = ServeRuntime::new(runtime, GovernorConfig::default());
-    let before = serve.refresh(&feed).expect("cold start").opportunities;
+    let mut runtime =
+        ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 4)
+            .expect("runtime");
+    let mut publisher = Publisher::new(GovernorConfig::default());
+    let before = step(&mut runtime, &mut publisher, &[], &feed).opportunities;
     let touched: Vec<PoolId> = before
         .first()
         .expect("a ranked opportunity")
@@ -228,12 +242,9 @@ fn untouched_shards_share_their_entries_across_a_tick() {
         "the top entry's pools saw no reserve updates"
     );
 
-    let handle = serve.handle(arbloops::serve::ClientClass::Bulk);
+    let handle = publisher.handle(arbloops::serve::ClientClass::Bulk);
     let base = handle.load();
-    let after = serve
-        .apply_events(&events, &feed)
-        .expect("tick")
-        .opportunities;
+    let after = step(&mut runtime, &mut publisher, &events, &feed).opportunities;
     let next = handle.load();
     assert!(
         next.revision() > base.revision(),

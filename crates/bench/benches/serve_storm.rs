@@ -255,7 +255,6 @@ fn storm_pass(_c: &mut Criterion) {
         .int("saturated", saturated)
         .int("admitted", admission.total_admitted())
         .int("publishes", publish.publishes)
-        .int("noop_deltas", publish.noop_deltas)
         .int("revision_final", serve.publisher.revision())
         .emit();
 

@@ -174,12 +174,8 @@ impl std::fmt::Display for ServeTelemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "serve: revision={} publishes={} skipped={} noop_deltas={} {}",
-            self.revision,
-            self.publish.publishes,
-            self.publish.skipped,
-            self.publish.noop_deltas,
-            self.governor
+            "serve: revision={} publishes={} skipped={} {}",
+            self.revision, self.publish.publishes, self.publish.skipped, self.governor
         )
     }
 }

@@ -26,6 +26,17 @@ struct DriverObs {
     raw_events_applied: Counter,
 }
 
+impl DriverObs {
+    /// Adds one batch's (or a fresh attachment's) counts. Added, not
+    /// mirrored as this driver's totals, so several drivers sharing one
+    /// registry over a process's life sum up.
+    fn count(&self, chain_events: u64, feed_updates: u64, raw_events: u64) {
+        self.chain_events_applied.add(chain_events);
+        self.feed_updates_applied.add(feed_updates);
+        self.raw_events_applied.add(raw_events);
+    }
+}
+
 /// Consumes [`IngestBatch`]es from an [`IngestHandle`] and applies them
 /// to a [`ShardedRuntime`], splitting inline [`Event::FeedPrice`]
 /// updates into the owned [`PriceTable`] so the batch's chain events are
@@ -66,17 +77,25 @@ impl IngestDriver {
     /// span per batch, the `ingest.e2e_ns` seal-to-ranking latency
     /// histogram, an `ingest.tick` flight mark per batch — and forwards
     /// the handle to the wrapped runtime so engine refresh/merge spans
-    /// land in the same registry.
+    /// land in the same registry. The `ingest.*_applied` counters gain
+    /// this driver's totals so far, then each batch's counts, so a
+    /// driver rebuilt on the same `Obs` keeps them counting.
     pub fn set_obs(&mut self, obs: &Obs) {
         let registry = obs.registry();
-        self.obs = Some(DriverObs {
+        let driver_obs = DriverObs {
             apply: obs.span("ingest.apply_ns"),
             e2e_ns: registry.histogram("ingest.e2e_ns"),
             tick: obs.marker("ingest.tick"),
             chain_events_applied: registry.counter("ingest.chain_events_applied"),
             feed_updates_applied: registry.counter("ingest.feed_updates_applied"),
             raw_events_applied: registry.counter("ingest.raw_events_applied"),
-        });
+        };
+        driver_obs.count(
+            self.chain_events_applied,
+            self.feed_updates_applied,
+            self.raw_events_applied,
+        );
+        self.obs = Some(driver_obs);
         self.runtime.set_obs(obs);
     }
 
@@ -124,27 +143,29 @@ impl IngestDriver {
     fn apply(&mut self, batch: IngestBatch) -> Result<RuntimeReport, IngestError> {
         let apply_span = self.obs.as_ref().map(|o| o.apply.start());
         self.scratch.clear();
+        let mut feed_updates = 0;
         for event in &batch.events {
             if let Some((token, price)) = event.as_feed_price() {
                 self.feed.set(token, price);
-                self.feed_updates_applied += 1;
+                feed_updates += 1;
             } else {
                 self.scratch.push(*event);
             }
         }
-        self.chain_events_applied += self.scratch.len() as u64;
-        self.raw_events_applied += batch.raw_events as u64;
+        let chain_events = self.scratch.len() as u64;
+        let raw_events = batch.raw_events as u64;
+        self.chain_events_applied += chain_events;
+        self.feed_updates_applied += feed_updates;
+        self.raw_events_applied += raw_events;
+        if let Some(obs) = &self.obs {
+            obs.count(chain_events, feed_updates, raw_events);
+        }
         let report = self.runtime.apply_events(&self.scratch, &self.feed)?;
         self.last_latency_nanos = batch.sealed_at.elapsed().as_nanos() as u64;
         drop(apply_span);
         if let Some(obs) = &self.obs {
             obs.e2e_ns.record(self.last_latency_nanos);
             obs.tick.mark(self.batches_applied);
-            obs.chain_events_applied
-                .set_at_least(self.chain_events_applied);
-            obs.feed_updates_applied
-                .set_at_least(self.feed_updates_applied);
-            obs.raw_events_applied.set_at_least(self.raw_events_applied);
         }
         self.batches_applied += 1;
         Ok(report)
@@ -235,5 +256,51 @@ impl IngestDriver {
     /// Seal-to-ranking latency of the most recent batch, in nanoseconds.
     pub fn last_latency_nanos(&self) -> u64 {
         self.last_latency_nanos
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use arb_amm::fee::FeeRate;
+    use arb_amm::pool::Pool;
+    use arb_obs::Obs;
+
+    use super::*;
+    use crate::{IngestConfig, Ingestor};
+
+    #[test]
+    fn rebuilt_driver_keeps_the_registry_counting() {
+        let obs = Obs::default();
+        let absorb = |moves: u32| {
+            let mut ingestor = Ingestor::new(IngestConfig::default());
+            let source = ingestor.register_source("feed");
+            let pool = Pool::new(
+                TokenId::new(0),
+                TokenId::new(1),
+                100.0,
+                120.0,
+                FeeRate::UNISWAP_V2,
+            )
+            .expect("pool");
+            let runtime = ShardedRuntime::new(OpportunityPipeline::default(), vec![pool], 1)
+                .expect("runtime");
+            let mut driver = IngestDriver::new(runtime, PriceTable::new(), ingestor.handle());
+            driver.set_obs(&obs);
+            let moves: Vec<(TokenId, f64)> = (0..moves)
+                .map(|i| (TokenId::new(i), f64::from(i) + 1.0))
+                .collect();
+            ingestor.offer_feed_moves(source, &moves).expect("offer");
+            ingestor.seal_block().expect("seal");
+            driver.try_step().expect("apply").expect("a sealed batch");
+            assert_eq!(driver.feed_updates_applied(), moves.len() as u64);
+        };
+        absorb(5);
+        // The rebuilt driver restarts its own totals at zero; the
+        // registry keeps counting from where the first one left off.
+        absorb(3);
+        let snapshot = obs.snapshot();
+        assert_eq!(snapshot.counter("ingest.feed_updates_applied"), Some(8));
+        assert_eq!(snapshot.counter("ingest.raw_events_applied"), Some(8));
+        assert_eq!(snapshot.counter("ingest.chain_events_applied"), Some(0));
     }
 }

@@ -19,8 +19,10 @@
 //!   threads; the writer holds the lock only for the swap, and a reader
 //!   that holds a snapshot never blocks it.
 //! * **Subscribe** ([`Subscription`]): a pull-based stream of
-//!   [`RankingDelta`]s — only what changed between revisions, lossless
-//!   under the pipeline's total ranking order ([`mod@diff`]).
+//!   [`RankingDelta`]s — only what changed since the subscriber's last
+//!   poll, lossless under the pipeline's total ranking order
+//!   ([`mod@diff`]). The subscriber computes each delta on its own
+//!   thread when it polls; publishing never diffs.
 //! * **Admit** ([`Governor`]): per-class token buckets
 //!   ([`ClientClass`]) plus a global concurrency budget, all lock-free,
 //!   so a synthetic read storm degrades into cheap denials instead of

@@ -1,13 +1,15 @@
 //! Snapshot publication: one writer, any number of readers.
 //!
 //! The cell holds the current [`RankedSnapshot`] behind a mutex, plus an
-//! atomic copy of its revision. Publishing swaps the `Arc` and stores
-//! the revision (`Release`) while holding the lock. Each
-//! [`ServeHandle`] caches the last `Arc` it loaded; a read compares the
-//! `Acquire`-loaded revision with the cached snapshot's and takes the
-//! lock only when they differ — at most once per publish per handle.
-//! A steady-state read is therefore one atomic load and one refcount
-//! bump, and the writer holds the lock only for the swap.
+//! atomic copy of its revision. Publishing builds the snapshot, then
+//! swaps the `Arc` and stores the revision (`Release`) while holding the
+//! lock; it diffs nothing and keeps no history, because each
+//! [`Subscription`] diffs for itself when it polls. Each [`ServeHandle`]
+//! caches the last `Arc` it loaded; a read compares the `Acquire`-loaded
+//! revision with the cached snapshot's and takes the lock only when they
+//! differ — at most once per publish per handle. A steady-state read is
+//! therefore one atomic load and one refcount bump, and the writer holds
+//! the lock only for the swap.
 //!
 //! Serve revisions never repeat (the [`Publisher`] numbers them), so an
 //! equal revision means the cached snapshot *is* the current one. A
@@ -15,7 +17,6 @@
 //! without ever blocking the writer.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -27,9 +28,6 @@ use crate::error::ServeError;
 use crate::governor::{ClientClass, Governor, GovernorConfig, GovernorStats, Permit};
 use crate::snapshot::RankedSnapshot;
 
-/// Published deltas retained for subscribers before they must resync.
-const DELTA_RING: usize = 64;
-
 /// The shared publication cell.
 #[derive(Debug)]
 struct SnapshotCell {
@@ -37,11 +35,8 @@ struct SnapshotCell {
     /// `current`'s revision, readable without the lock. Stored
     /// (`Release`) only while `current` is locked, so a reader whose
     /// `Acquire` load sees it move and then locks gets that snapshot or
-    /// a newer one, and sees the delta pushed before it.
+    /// a newer one.
     revision: AtomicU64,
-    /// Recent deltas for subscribers. Only subscribers lock this; the
-    /// point-query path never does.
-    ring: Mutex<VecDeque<Arc<RankingDelta>>>,
 }
 
 impl SnapshotCell {
@@ -49,7 +44,6 @@ impl SnapshotCell {
         Self {
             revision: AtomicU64::new(initial.revision()),
             current: Mutex::new(initial),
-            ring: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -63,19 +57,12 @@ impl SnapshotCell {
         Arc::clone(&self.current.lock().expect("snapshot cell lock"))
     }
 
-    /// Writer side: swap in `next` and advertise its revision.
-    fn install(&self, next: Arc<RankedSnapshot>) {
+    /// Writer side: swap in `next` and advertise its revision. Returns
+    /// the superseded snapshot, so the caller frees it after the lock.
+    fn install(&self, next: Arc<RankedSnapshot>) -> Arc<RankedSnapshot> {
         let mut current = self.current.lock().expect("snapshot cell lock");
         self.revision.store(next.revision(), Ordering::Release);
-        *current = next;
-    }
-
-    fn push_delta(&self, delta: RankingDelta) {
-        let mut ring = self.ring.lock().expect("delta ring lock");
-        if ring.len() == DELTA_RING {
-            ring.pop_front();
-        }
-        ring.push_back(Arc::new(delta));
+        std::mem::replace(&mut *current, next)
     }
 }
 
@@ -87,9 +74,6 @@ pub struct PublishStats {
     /// `publish_if_changed` calls skipped because the source revision
     /// had not moved.
     pub skipped: u64,
-    /// Published deltas that carried no ranking change (revision moved
-    /// but the order was bit-identical, e.g. after a restore).
-    pub noop_deltas: u64,
 }
 
 /// Pre-resolved registry instruments for the publisher (see
@@ -97,11 +81,10 @@ pub struct PublishStats {
 /// counters are absolute mirrors (`set_at_least`), not deltas.
 #[derive(Debug)]
 struct PublishObs {
-    /// Wraps snapshot build + diff + install.
+    /// Wraps snapshot build + install.
     publish: SpanTimer,
     publishes: Counter,
     skipped: Counter,
-    noop_deltas: Counter,
     revision: Gauge,
     admitted: Counter,
     denied_rate: Counter,
@@ -115,7 +98,6 @@ impl PublishObs {
             publish: obs.span("serve.publish_ns"),
             publishes: registry.counter("serve.publishes"),
             skipped: registry.counter("serve.skipped"),
-            noop_deltas: registry.counter("serve.noop_deltas"),
             revision: registry.gauge("serve.revision"),
             admitted: registry.counter("serve.admitted"),
             denied_rate: registry.counter("serve.denied_rate"),
@@ -126,7 +108,6 @@ impl PublishObs {
     fn sync(&self, stats: &PublishStats, revision: u64, governor: &GovernorStats) {
         self.publishes.set_at_least(stats.publishes);
         self.skipped.set_at_least(stats.skipped);
-        self.noop_deltas.set_at_least(stats.noop_deltas);
         self.revision.set(revision as f64);
         self.admitted.set_at_least(governor.total_admitted());
         self.denied_rate.set_at_least(governor.total_denied_rate());
@@ -135,7 +116,7 @@ impl PublishObs {
     }
 }
 
-/// The single writer: owns revision numbering, diffing, and the cell.
+/// The single writer: owns revision numbering and the cell.
 ///
 /// Exactly one `Publisher` exists per serving runtime; it is `Send` but
 /// deliberately not `Clone`. Readers attach through
@@ -148,8 +129,6 @@ pub struct Publisher {
     /// Serve-side monotone revision (never resets, unlike the source
     /// runtime's counter across a restore).
     revision: u64,
-    /// Last published ranking, kept for diffing.
-    last: Arc<RankedSnapshot>,
     /// Source (`standing_revision`) value behind the last publish;
     /// `None` forces the next `publish_if_changed` through (fresh
     /// publisher, or re-anchored after a restore).
@@ -168,12 +147,10 @@ impl Publisher {
     /// A publisher over a caller-built governor (injected clocks).
     #[must_use]
     pub fn with_governor(governor: Arc<Governor>) -> Self {
-        let initial = Arc::new(RankedSnapshot::empty());
         Self {
-            cell: Arc::new(SnapshotCell::new(Arc::clone(&initial))),
+            cell: Arc::new(SnapshotCell::new(Arc::new(RankedSnapshot::empty()))),
             governor,
             revision: 0,
-            last: initial,
             last_source: None,
             stats: PublishStats::default(),
             obs: None,
@@ -190,24 +167,12 @@ impl Publisher {
     }
 
     /// Publishes a new ranking unconditionally: builds the snapshot and
-    /// its indexes, diffs against the previous revision, pushes the
-    /// delta, and swaps the snapshot in. Returns the new serve revision.
+    /// its indexes and swaps it in. Returns the new serve revision.
     pub fn publish(&mut self, ranked: Vec<ArbitrageOpportunity>) -> u64 {
         let span = self.obs.as_ref().map(|o| o.publish.start());
         self.revision += 1;
-        let next = Arc::new(RankedSnapshot::build(self.revision, ranked));
-        let delta = diff(
-            self.last.revision(),
-            self.last.entries(),
-            next.revision(),
-            next.entries(),
-        );
-        if delta.is_noop() {
-            self.stats.noop_deltas += 1;
-        }
-        self.cell.push_delta(delta);
-        self.cell.install(Arc::clone(&next));
-        self.last = next;
+        self.cell
+            .install(Arc::new(RankedSnapshot::build(self.revision, ranked)));
         self.stats.publishes += 1;
         drop(span);
         if let Some(obs) = &self.obs {
@@ -267,19 +232,20 @@ impl Publisher {
     pub fn handle(&self, class: ClientClass) -> ServeHandle {
         ServeHandle {
             cell: Arc::clone(&self.cell),
-            cached: RefCell::new(Arc::clone(&self.last)),
+            cached: RefCell::new(self.cell.current()),
             governor: Arc::clone(&self.governor),
             class,
         }
     }
 
     /// A delta subscription. The first [`Subscription::poll`] resyncs
-    /// to the current snapshot; later polls return contiguous deltas.
+    /// to the current snapshot; each later poll returns one delta
+    /// covering everything published since the previous poll.
     #[must_use]
     pub fn subscribe(&self) -> Subscription {
         Subscription {
             cell: Arc::clone(&self.cell),
-            seen: None,
+            base: None,
         }
     }
 }
@@ -368,73 +334,57 @@ impl std::ops::Deref for ReadGuard {
 pub enum SubscriptionUpdate {
     /// Nothing published since the last poll.
     Current,
-    /// Contiguous deltas from the subscriber's revision to the latest.
-    Deltas(Vec<Arc<RankingDelta>>),
-    /// The chain broke (first poll, or the ring outran the subscriber):
-    /// adopt this snapshot wholesale and continue from its revision.
+    /// Everything published since the last poll, as one delta from the
+    /// subscriber's revision to the latest.
+    Delta(RankingDelta),
+    /// The first poll: adopt this snapshot wholesale and continue from
+    /// its revision.
     Resync(Arc<RankedSnapshot>),
 }
 
-/// A pull-based delta stream over the publisher's ring.
+/// A pull-based delta stream: each poll diffs the subscriber's base
+/// (the snapshot it last saw) against the current one. A subscriber
+///
+/// * gets **one** delta covering everything since its last poll, never
+///   a chain, and is never resynced for falling behind;
+/// * pays for the diff on its own thread, not the publisher's;
+/// * keeps its base snapshot alive until it polls again.
 #[derive(Debug)]
 pub struct Subscription {
     cell: Arc<SnapshotCell>,
-    /// Last revision the subscriber has fully applied; `None` before
-    /// the first resync.
-    seen: Option<u64>,
+    /// The snapshot the subscriber's view equals; `None` before the
+    /// first poll.
+    base: Option<Arc<RankedSnapshot>>,
 }
 
 impl Subscription {
-    /// Drains everything published since the last poll. Locks the
-    /// delta ring for the copy-out, and the snapshot cell only to
-    /// resync.
+    /// Brings the subscriber up to the latest snapshot: a resync on the
+    /// first call, then `Current` or one delta. Locks the snapshot cell
+    /// only when the revision moved.
     pub fn poll(&mut self) -> SubscriptionUpdate {
-        let Some(seen) = self.seen else {
-            return self.resync();
+        let Some(base) = &self.base else {
+            let snapshot = self.cell.current();
+            self.base = Some(Arc::clone(&snapshot));
+            return SubscriptionUpdate::Resync(snapshot);
         };
-        let pending: Vec<Arc<RankingDelta>> = {
-            let ring = self.cell.ring.lock().expect("delta ring lock");
-            ring.iter()
-                .filter(|delta| delta.from_revision >= seen)
-                .cloned()
-                .collect()
-        };
-        match pending.first() {
-            None => {
-                // Nothing newer in the ring; confirm we are current.
-                if self.cell.revision() == seen {
-                    SubscriptionUpdate::Current
-                } else {
-                    self.resync()
-                }
-            }
-            Some(first) if first.from_revision == seen => {
-                let mut chain = Vec::with_capacity(pending.len());
-                let mut at = seen;
-                for delta in pending {
-                    if delta.from_revision != at {
-                        return self.resync();
-                    }
-                    at = delta.to_revision;
-                    chain.push(delta);
-                }
-                self.seen = Some(at);
-                SubscriptionUpdate::Deltas(chain)
-            }
-            Some(_) => self.resync(),
+        if self.cell.revision() == base.revision() {
+            return SubscriptionUpdate::Current;
         }
+        let next = self.cell.current();
+        let delta = diff(
+            base.revision(),
+            base.entries(),
+            next.revision(),
+            next.entries(),
+        );
+        self.base = Some(next);
+        SubscriptionUpdate::Delta(delta)
     }
 
     /// The revision the subscriber has applied up to, if anchored.
     #[must_use]
     pub fn seen_revision(&self) -> Option<u64> {
-        self.seen
-    }
-
-    fn resync(&mut self) -> SubscriptionUpdate {
-        let snapshot = self.cell.current();
-        self.seen = Some(snapshot.revision());
-        SubscriptionUpdate::Resync(snapshot)
+        self.base.as_ref().map(|base| base.revision())
     }
 }
 
@@ -462,7 +412,6 @@ mod tests {
         let stats = publisher.stats();
         assert_eq!(stats.publishes, 3);
         assert_eq!(stats.skipped, 1);
-        assert_eq!(stats.noop_deltas, 3, "empty rankings diff to noops");
     }
 
     #[test]
@@ -495,26 +444,56 @@ mod tests {
         assert!(matches!(sub.poll(), SubscriptionUpdate::Current));
         publisher.publish(Vec::new());
         publisher.publish(Vec::new());
-        let SubscriptionUpdate::Deltas(chain) = sub.poll() else {
-            panic!("expected deltas");
+        let SubscriptionUpdate::Delta(delta) = sub.poll() else {
+            panic!("expected a delta");
         };
-        assert_eq!(chain.len(), 2);
-        assert_eq!(chain[0].from_revision, 1);
-        assert_eq!(chain[1].to_revision, 3);
+        assert_eq!((delta.from_revision, delta.to_revision), (1, 3));
+        assert!(delta.is_noop(), "empty rankings diff to a noop");
         assert_eq!(sub.seen_revision(), Some(3));
+        assert!(matches!(sub.poll(), SubscriptionUpdate::Current));
     }
 
     #[test]
-    fn subscription_resyncs_after_ring_overflow() {
+    fn idle_subscriber_gets_one_delta_across_100_publishes() {
         let mut publisher = Publisher::new(GovernorConfig::default());
         publisher.publish(Vec::new());
         let mut sub = publisher.subscribe();
-        sub.poll();
-        for _ in 0..(DELTA_RING + 8) {
+        assert!(matches!(sub.poll(), SubscriptionUpdate::Resync(_)));
+        for _ in 0..100 {
             publisher.publish(Vec::new());
         }
-        assert!(matches!(sub.poll(), SubscriptionUpdate::Resync(_)));
+        let SubscriptionUpdate::Delta(delta) = sub.poll() else {
+            panic!("falling behind must not resync");
+        };
+        assert_eq!((delta.from_revision, delta.to_revision), (1, 101));
+        assert_eq!(sub.seen_revision(), Some(101));
         assert!(matches!(sub.poll(), SubscriptionUpdate::Current));
+    }
+
+    #[test]
+    fn idle_subscription_keeps_only_its_base_alive() {
+        let mut publisher = Publisher::new(GovernorConfig::default());
+        let probe = publisher.handle(ClientClass::Bulk);
+        publisher.publish(Vec::new());
+        let mut sub = publisher.subscribe();
+        let SubscriptionUpdate::Resync(first) = sub.poll() else {
+            panic!("first poll must resync");
+        };
+        let mut superseded = Vec::new();
+        for _ in 0..100 {
+            publisher.publish(Vec::new());
+            superseded.push(Arc::downgrade(&probe.load()));
+        }
+        // Only the subscription's base still holds revision 1 besides
+        // the test's own reference.
+        assert_eq!(Arc::strong_count(&first), 2);
+        // Every later revision but the current one is gone.
+        let latest = superseded.pop().expect("100 publishes");
+        assert!(superseded.iter().all(|weak| weak.strong_count() == 0));
+        assert!(latest.strong_count() > 0);
+        // The next poll moves the base and releases revision 1.
+        assert!(matches!(sub.poll(), SubscriptionUpdate::Delta(_)));
+        assert_eq!(Arc::strong_count(&first), 1);
     }
 
     #[test]

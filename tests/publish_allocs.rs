@@ -1,9 +1,9 @@
 //! Publishing costs a fixed number of allocations, whatever the ranking's
 //! length: entries are shared handles (freezing a ranking copies
-//! pointers), the snapshot indexes are flat arrays sized up front, and
-//! the diff compares shared or bit-equal evaluations without copying
-//! them. Counted with a thread-local counting allocator, so the number
-//! is the same on every machine.
+//! pointers) and the snapshot indexes are flat arrays sized up front;
+//! publishing computes no delta (subscribers diff on poll). Counted with
+//! a thread-local counting allocator, so the number is the same on
+//! every machine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -97,8 +97,7 @@ fn publish_allocations(n: u32) -> u64 {
     next[0] = entry(0, f64::from(n));
     next[1] = entry(1, f64::from(n) - 0.5);
     next[2] = entry(n, f64::from(n - 2));
-    // Warm once on the same shape so one-off growth (the delta ring) is
-    // not counted.
+    // Warm once on the same shape so one-off growth is not counted.
     publisher.publish_if_changed(2, &next);
     publisher.publish_if_changed(3, &base);
 

@@ -1,13 +1,14 @@
 //! Diff-stream reconstruction oracle.
 //!
-//! A subscriber that attaches mid-run and applies every delta it is
-//! pushed must hold, at all times, a ranking bit-identical to the
-//! latest published [`RankedSnapshot`] — including across pool
-//! creation and a checkpoint/restore (the runtime's revision counter restarts, the
+//! A subscriber that attaches mid-run and applies every delta it polls
+//! must hold, after each poll, a ranking bit-identical to the latest
+//! published [`RankedSnapshot`] — whether it polls every tick or only
+//! every few ticks, and including across pool creation and a
+//! checkpoint/restore (the runtime's revision counter restarts, the
 //! publisher re-anchors, readers and subscriptions stay attached).
 
 use arbloops::prelude::*;
-use arbloops::serve::{apply, GovernorConfig, Publisher, SubscriptionUpdate};
+use arbloops::serve::{apply, GovernorConfig, Publisher, Subscription, SubscriptionUpdate};
 use arbloops::workloads::ScenarioConfig;
 
 type Fingerprint = Vec<(Vec<PoolId>, String, u64)>;
@@ -49,10 +50,22 @@ fn config(seed: u64) -> ScenarioConfig {
     }
 }
 
-/// Drives one workload through a serving runtime with a mid-run
-/// subscriber, applying deltas every tick and checkpoint/restoring at
-/// `restore_at`. Returns the number of deltas applied.
-fn replay(workload: &'static str, config: &ScenarioConfig) -> usize {
+/// Ticks between polls of the slow subscriber in [`replay`].
+const SLOW_POLL: usize = 5;
+
+/// What one [`replay`] streamed.
+#[derive(Default)]
+struct Streamed {
+    /// Deltas applied by either subscriber.
+    deltas: usize,
+    /// Deltas that spanned more than one publish.
+    spanning: usize,
+}
+
+/// Drives one workload through a serving runtime with two mid-run
+/// subscribers, one polling every tick and one every [`SLOW_POLL`]th
+/// tick, and checkpoint/restores at `restore_at`.
+fn replay(workload: &'static str, config: &ScenarioConfig) -> Streamed {
     let spec = arbloops::workloads::find(workload).expect("workload in catalog");
     let scenario = spec.scenario(config).expect("scenario generates");
     let mut feed = scenario.feed.clone();
@@ -66,24 +79,25 @@ fn replay(workload: &'static str, config: &ScenarioConfig) -> usize {
     step(&mut runtime, &mut publisher, &[], &feed);
 
     let handle = publisher.handle(arbloops::serve::ClientClass::Analytics);
-    let mut subscription = None;
-    let mut view: Vec<ArbitrageOpportunity> = Vec::new();
-    let mut deltas_applied = 0usize;
+    // (subscription, its view, ticks between its polls)
+    let mut subscribers: Vec<(Subscription, Vec<ArbitrageOpportunity>, usize)> = Vec::new();
+    let mut streamed = Streamed::default();
 
     for (tick, batch) in scenario.ticks.iter().enumerate() {
         if tick == subscribe_at {
             // Attach mid-run: the first poll resyncs to the current
             // snapshot, from which deltas alone must suffice.
-            let mut sub = publisher.subscribe();
-            let SubscriptionUpdate::Resync(base) = sub.poll() else {
-                panic!("first poll must resync");
-            };
-            view = base.entries().to_vec();
-            subscription = Some(sub);
+            for every in [1, SLOW_POLL] {
+                let mut sub = publisher.subscribe();
+                let SubscriptionUpdate::Resync(base) = sub.poll() else {
+                    panic!("first poll must resync");
+                };
+                subscribers.push((sub, base.entries().to_vec(), every));
+            }
         }
         if tick == restore_at {
             // Checkpoint/restore the compute side; the serving side
-            // (cell, handles, subscription) survives the swap.
+            // (cell, handles, subscriptions) survives the swap.
             let checkpoint = runtime.checkpoint();
             runtime = ShardedRuntime::restore(OpportunityPipeline::default(), &checkpoint)
                 .expect("restore");
@@ -92,37 +106,39 @@ fn replay(workload: &'static str, config: &ScenarioConfig) -> usize {
         batch.apply_feed(&mut feed);
         step(&mut runtime, &mut publisher, &batch.events, &feed);
 
-        if let Some(sub) = subscription.as_mut() {
+        for (sub, view, every) in &mut subscribers {
+            if !(tick - subscribe_at).is_multiple_of(*every) {
+                continue;
+            }
             match sub.poll() {
                 SubscriptionUpdate::Current => {}
-                SubscriptionUpdate::Deltas(chain) => {
-                    for delta in chain {
-                        view = apply(&view, &delta).expect("delta applies");
-                        deltas_applied += 1;
-                    }
+                SubscriptionUpdate::Delta(delta) => {
+                    *view = apply(view, &delta).expect("delta applies");
+                    streamed.deltas += 1;
+                    streamed.spanning += usize::from(delta.to_revision > delta.from_revision + 1);
                 }
                 SubscriptionUpdate::Resync(_) => {
-                    panic!("{workload} tick {tick}: per-tick polling must never fall behind")
+                    panic!("{workload} tick {tick}: only the first poll may resync")
                 }
             }
             // The reconstructed view is bit-identical to the latest
-            // published snapshot, every tick.
+            // published snapshot on every tick the subscriber polls.
             let published = handle.load();
             assert_eq!(
-                fingerprint(&view),
+                fingerprint(view),
                 fingerprint(published.entries()),
-                "{workload} tick {tick}: delta reconstruction diverged"
+                "{workload} tick {tick}: delta reconstruction diverged (polling every {every})"
             );
             assert_eq!(sub.seen_revision(), Some(published.revision()));
         }
     }
 
-    deltas_applied
+    streamed
 }
 
 #[test]
 fn deltas_reconstruct_across_rebuild_and_restore() {
-    let mut total_deltas = 0usize;
+    let mut total = Streamed::default();
     for (i, spec) in arbloops::workloads::catalog().iter().enumerate() {
         let mut config = config(4_242 + i as u64);
         if spec.name == "pool-churn" {
@@ -130,11 +146,17 @@ fn deltas_reconstruct_across_rebuild_and_restore() {
             // enough to apply them.
             config.ticks = 48;
         }
-        total_deltas += replay(spec.name, &config);
+        let streamed = replay(spec.name, &config);
+        total.deltas += streamed.deltas;
+        total.spanning += streamed.spanning;
     }
     assert!(
-        total_deltas > 0,
+        total.deltas > 0,
         "no deltas ever streamed — the reconstruction claim is vacuous"
+    );
+    assert!(
+        total.spanning > 0,
+        "no delta spanned several publishes — the slow subscriber is vacuous"
     );
 }
 
@@ -164,20 +186,17 @@ fn restore_publishes_a_noop_delta_when_ranking_is_stable() {
     let SubscriptionUpdate::Resync(base) = sub.poll() else {
         panic!("first poll must resync");
     };
-    let noops_before = publisher.stats().noop_deltas;
     step(&mut runtime, &mut publisher, &[], &feed);
     assert_eq!(publisher.revision(), revision_before + 1);
-    assert_eq!(
-        publisher.stats().noop_deltas,
-        noops_before + 1,
-        "a bit-identical restore must publish a noop delta"
-    );
-    let SubscriptionUpdate::Deltas(chain) = sub.poll() else {
+    let SubscriptionUpdate::Delta(delta) = sub.poll() else {
         panic!("the re-anchor publish must stream to subscribers");
     };
-    assert_eq!(chain.len(), 1);
-    assert!(chain[0].is_noop());
-    let view = apply(base.entries(), &chain[0]).expect("noop applies");
+    assert_eq!(delta.to_revision, delta.from_revision + 1);
+    assert!(
+        delta.is_noop(),
+        "a bit-identical restore must publish a noop delta"
+    );
+    let view = apply(base.entries(), &delta).expect("noop applies");
     assert_eq!(fingerprint(&view), fingerprint(base.entries()));
 
     // And ticking on from the restored runtime keeps streaming real deltas.
@@ -186,11 +205,9 @@ fn restore_publishes_a_noop_delta_when_ranking_is_stable() {
     for batch in &scenario.ticks {
         batch.apply_feed(&mut feed);
         step(&mut runtime, &mut publisher, &batch.events, &feed);
-        if let SubscriptionUpdate::Deltas(chain) = sub.poll() {
-            for delta in chain {
-                moved |= !delta.is_noop();
-                view = apply(&view, &delta).expect("delta applies");
-            }
+        if let SubscriptionUpdate::Delta(delta) = sub.poll() {
+            moved |= !delta.is_noop();
+            view = apply(&view, &delta).expect("delta applies");
         }
     }
     let final_snapshot = publisher.handle(arbloops::serve::ClientClass::Bulk).load();

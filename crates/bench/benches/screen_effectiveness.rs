@@ -38,7 +38,7 @@
 //! regresses more than 20% against the committed baseline speedup.
 
 use arb_bench::json::JsonLine;
-use arb_engine::{ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, StreamingEngine};
+use arb_engine::{ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, ShardedRuntime};
 use arb_workloads::{find, Scenario, ScenarioConfig};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
@@ -104,9 +104,10 @@ struct Replay {
 /// `apply_events` (the dirty-refresh reaction) individually.
 fn replay(scenario: &Scenario, screen: bool) -> Replay {
     let mut feed = scenario.feed.clone();
-    let mut engine = StreamingEngine::new(
+    let mut engine = ShardedRuntime::new(
         OpportunityPipeline::new(config(screen)),
         scenario.pools.clone(),
+        1,
     )
     .expect("engine");
     engine.refresh(&feed).expect("cold start");
@@ -226,9 +227,10 @@ fn bench_dirty_refresh(c: &mut Criterion) {
     group.sample_size(10);
     for (label, screen) in [("screened", true), ("unscreened", false)] {
         let mut feed = scenario.feed.clone();
-        let mut engine = StreamingEngine::new(
+        let mut engine = ShardedRuntime::new(
             OpportunityPipeline::new(config(screen)),
             scenario.pools.clone(),
+            1,
         )
         .expect("engine");
         engine.refresh(&feed).expect("cold start");

@@ -9,19 +9,17 @@
 //!   pass asserts the rankings are **bit-identical** and that batch
 //!   screening (log-sum + pool/per-hop floor bounds) classifies **≥ 50%
 //!   fewer cycles** than the unscreened path.
-//! * **stream**: the full tick stream through one `StreamingEngine` and
-//!   through the `ShardedRuntime` the live layers drive. Final rankings
-//!   must be bit-identical; the runtime's per-tick latencies feed the
-//!   `tick_p99_ns` counter CI's trend gate watches (> 20% regression
-//!   fails the build).
+//! * **stream**: the full tick stream through the `ShardedRuntime` the
+//!   live layers drive. Its final ranking must be bit-identical to a
+//!   batch `run_graph` over the runtime's final graph and feed; its
+//!   per-tick latencies feed the `tick_p99_ns` counter CI's trend gate
+//!   watches (> 20% regression fails the build).
 //!
 //! The JSON line goes to `BENCH_soak.json` via the workflow's tee+grep.
 
 use arb_bench::json::JsonLine;
 use arb_bench::percentile_ns;
-use arb_engine::{
-    ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, ShardedRuntime, StreamingEngine,
-};
+use arb_engine::{ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, ShardedRuntime};
 use arb_graph::TokenGraph;
 use arb_workloads::{find, Scenario, ScenarioConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -92,25 +90,7 @@ fn soak(_c: &mut Criterion) {
         - screened.stats.cycles_classified as f64
             / unscreened.stats.cycles_classified.max(1) as f64;
 
-    // --- Stream: single engine vs the runtime. ---
-    let mut feed = scenario.feed.clone();
-    let mut single = StreamingEngine::new(
-        OpportunityPipeline::new(config(true)),
-        scenario.pools.clone(),
-    )
-    .expect("engine");
-    single.refresh(&feed).expect("cold start");
-    let single_start = Instant::now();
-    let mut last_single = Vec::new();
-    for batch in &scenario.ticks {
-        batch.apply_feed(&mut feed);
-        last_single = single
-            .apply_events(&batch.events, &feed)
-            .expect("single tick")
-            .opportunities;
-    }
-    let single_total_ns = single_start.elapsed().as_nanos() as u64;
-
+    // --- Stream: the runtime, checked against a final batch rescan. ---
     let mut feed = scenario.feed.clone();
     let mut runtime = ShardedRuntime::new(
         OpportunityPipeline::new(config(true)),
@@ -130,7 +110,10 @@ fn soak(_c: &mut Criterion) {
             .opportunities;
         tick_ns.push(start.elapsed().as_nanos() as u64);
     }
-    assert_identical("stream", &last_runtime, &last_single);
+    let rescan = OpportunityPipeline::new(config(true))
+        .run_graph(runtime.graph(), &feed)
+        .expect("final batch rescan");
+    assert_identical("stream", &last_runtime, &rescan.opportunities);
 
     let screen = runtime.screen_totals();
     let tick_p99_ns = percentile_ns(&tick_ns, 0.99);
@@ -140,7 +123,6 @@ fn soak(_c: &mut Criterion) {
         .count("ticks", TICKS)
         .int("tick_p99_ns", tick_p99_ns)
         .int("tick_median_ns", tick_median_ns)
-        .int("single_total_ns", single_total_ns)
         .int("runtime_total_ns", tick_ns.iter().sum::<u64>())
         .int("cold_start_ns_screened", cold_screened_ns)
         .int("cold_start_ns_unscreened", cold_unscreened_ns)

@@ -15,7 +15,7 @@
 use arb_cex::feed::PriceTable;
 use arb_dexsim::events::Event;
 use arb_dexsim::units::to_raw;
-use arb_engine::{OpportunityPipeline, PipelineConfig, StreamingEngine};
+use arb_engine::{OpportunityPipeline, PipelineConfig, ShardedRuntime};
 use arb_snapshot::{Generator, Snapshot, SnapshotConfig};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -96,7 +96,7 @@ fn bench_tick_reaction(c: &mut Criterion) {
         // Streaming: one cold build outside the timed region, then each
         // iteration reacts to one sparse tick.
         let mut engine =
-            StreamingEngine::new(pipeline(), snapshot.pools().to_vec()).expect("engine");
+            ShardedRuntime::new(pipeline(), snapshot.pools().to_vec(), 1).expect("engine");
         engine.refresh(&feed).expect("cold start");
         let mut tick = 0usize;
         group.bench_with_input(
@@ -126,7 +126,7 @@ fn bench_tick_reaction(c: &mut Criterion) {
 fn smoke_assert_evaluations_saved(_c: &mut Criterion) {
     let (snapshot, feed) = universe(300);
     let batches = tick_batches(&snapshot);
-    let mut engine = StreamingEngine::new(pipeline(), snapshot.pools().to_vec()).expect("engine");
+    let mut engine = ShardedRuntime::new(pipeline(), snapshot.pools().to_vec(), 1).expect("engine");
     engine.refresh(&feed).expect("cold start");
     let cold = *engine.stats();
 
@@ -134,7 +134,7 @@ fn smoke_assert_evaluations_saved(_c: &mut Criterion) {
         engine.apply_events(batch, &feed).expect("tick");
     }
     let stats = *engine.stats();
-    let live_cycles = engine.index().live_cycles();
+    let live_cycles = engine.live_cycles();
     let streamed = stats.cycles_evaluated - cold.cycles_evaluated;
     let rescan_equivalent = live_cycles * TICKS;
     assert!(

@@ -663,7 +663,7 @@ mod tests {
         assert_eq!(bot.runtime().stats().ticks, 0);
         bot.step(&mut chain, &[]).unwrap();
         chain.mine_block();
-        let applied = bot.runtime().engine().stats().events_applied;
+        let applied = bot.runtime().stats().events_applied;
 
         // Whale flow between steps reaches the engine as events.
         let whale = chain.create_account();
@@ -679,10 +679,7 @@ mod tests {
         bot.step(&mut chain, &[]).unwrap();
         let stats = bot.runtime().stats();
         assert!(stats.ticks >= 2, "{stats}");
-        assert!(
-            bot.runtime().engine().stats().events_applied > applied,
-            "{stats}"
-        );
+        assert!(bot.runtime().stats().events_applied > applied, "{stats}");
 
         // Telemetry one-liner: the engine's screen totals.
         let totals = bot.runtime().screen_totals();
@@ -751,7 +748,7 @@ mod tests {
             .add_pool(t(0), t(1), to_raw(90.0), to_raw(210.0), FeeRate::UNISWAP_V2)
             .unwrap();
         bot.step(&mut chain, &[]).unwrap();
-        let stats = bot.runtime().engine().stats();
+        let stats = bot.runtime().stats();
         assert_eq!(stats.pools_added, 1);
         assert!(stats.cycles_added > 0, "{stats}");
     }

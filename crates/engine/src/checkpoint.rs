@@ -1,12 +1,11 @@
-//! Plain-data checkpoints of engine state, for durable snapshots.
+//! Plain-data checkpoints of runtime state, for durable snapshots.
 //!
-//! A [`crate::StreamingEngine`] (and the [`crate::ShardedRuntime`]
-//! around it) is a deterministic function of the event stream it
-//! consumed: evaluation is pure in (reserves, feed), so any copy of the
-//! graph + cycle index resumes to the exact same standing ranking. These
-//! types capture that state as plain data — no I/O, no encoding — so a
-//! persistence layer (`arb-journal`) can serialize them however it likes
-//! and tie them to a journal offset.
+//! A [`crate::ShardedRuntime`] is a deterministic function of the event
+//! stream it consumed: evaluation is pure in (reserves, feed), so any
+//! copy of the graph + cycle index resumes to the exact same standing
+//! ranking. [`RuntimeCheckpoint`] captures that state as plain data — no
+//! I/O, no encoding — so a persistence layer (`arb-journal`) can
+//! serialize it however it likes and tie it to a journal offset.
 //!
 //! What is captured, and why it suffices:
 //!
@@ -15,16 +14,14 @@
 //!   restored graph has the same id space and the same revive behavior.
 //! * **Cycle index arena** — the cycle slots and free list
 //!   ([`arb_graph::CycleIndex::to_parts`]), so restored `CycleId`s and
-//!   future slot recycling match the checkpointed engine exactly and the
+//!   future slot recycling match the checkpointed runtime exactly and the
 //!   exponential enumeration is *not* re-run at recovery time.
-//! * **`standing_revision`** — restored so external caches keyed on the
-//!   revision stay monotone across a restart.
 //!
 //! The standing opportunity *values* are deliberately **not** captured:
 //! restore marks every live cycle dirty and the first refresh recomputes
-//! them bit-identically. Cumulative counters ([`crate::StreamStats`],
-//! [`crate::RuntimeStats`]) restart from zero — they describe a process
-//! lifetime, not market state.
+//! them bit-identically. Neither are the standing revision (a restored
+//! runtime restarts it at 0) or the cumulative [`crate::RuntimeStats`]
+//! — they describe a process lifetime, not market state.
 
 use arb_amm::fee::FeeRate;
 use arb_amm::pool::Pool;
@@ -78,12 +75,12 @@ impl PoolSlot {
     }
 }
 
-/// A checkpoint of one [`crate::StreamingEngine`]: graph slots, cycle
-/// index arena, and standing revision. Produce with
-/// [`crate::StreamingEngine::checkpoint`], consume with
-/// [`crate::StreamingEngine::restore`].
+/// A checkpoint of a [`crate::ShardedRuntime`]: its graph slots and
+/// cycle-index arena, plus what the ingestion front-end needs to resume.
+/// Produce with [`crate::ShardedRuntime::checkpoint`], consume with
+/// [`crate::ShardedRuntime::restore`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct EngineCheckpoint {
+pub struct RuntimeCheckpoint {
     /// Shortest indexed cycle length (must match the restoring
     /// pipeline's config).
     pub min_cycle_len: usize,
@@ -95,11 +92,21 @@ pub struct EngineCheckpoint {
     pub arena: Vec<Option<Cycle>>,
     /// Tombstoned arena slots in recycling order.
     pub free: Vec<u32>,
-    /// The engine's standing revision at checkpoint time.
-    pub standing_revision: u64,
+    /// The price feed at checkpoint time as `(token index, f64 bits)`
+    /// entries sorted by token — filled by the ingestion front-end
+    /// (`arb-ingest`), whose journaled stream carries feed updates
+    /// inline, so recovery reproduces rankings without a live feed.
+    /// Empty when the checkpoint was taken by a consumer that sources
+    /// prices externally; [`crate::ShardedRuntime::restore`] ignores it.
+    pub feed: Vec<(u32, u64)>,
+    /// Per-ingest-source consumed-event counts at checkpoint time,
+    /// in source registration order. Opaque to the engine (restore
+    /// ignores it); the ingestion front-end uses it to resume each
+    /// source's cursor after recovery. Empty outside ingest mode.
+    pub source_positions: Vec<u64>,
 }
 
-impl EngineCheckpoint {
+impl RuntimeCheckpoint {
     /// Rebuilds the checkpointed graph: all slots with their last valid
     /// state, retired slots re-retired.
     ///
@@ -122,26 +129,4 @@ impl EngineCheckpoint {
         }
         Ok(graph)
     }
-}
-
-/// A checkpoint of a whole [`crate::ShardedRuntime`]: its engine's
-/// [`EngineCheckpoint`] plus what the ingestion front-end needs to
-/// resume. Produce with [`crate::ShardedRuntime::checkpoint`], consume
-/// with [`crate::ShardedRuntime::restore`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuntimeCheckpoint {
-    /// The engine's checkpoint.
-    pub engine: EngineCheckpoint,
-    /// The price feed at checkpoint time as `(token index, f64 bits)`
-    /// entries sorted by token — filled by the ingestion front-end
-    /// (`arb-ingest`), whose journaled stream carries feed updates
-    /// inline, so recovery reproduces rankings without a live feed.
-    /// Empty when the checkpoint was taken by a consumer that sources
-    /// prices externally; [`crate::ShardedRuntime::restore`] ignores it.
-    pub feed: Vec<(u32, u64)>,
-    /// Per-ingest-source consumed-event counts at checkpoint time,
-    /// in source registration order. Opaque to the engine (restore
-    /// ignores it); the ingestion front-end uses it to resume each
-    /// source's cursor after recovery. Empty outside ingest mode.
-    pub source_positions: Vec<u64>,
 }

@@ -51,7 +51,7 @@ impl DirtyCycleSet {
     }
 
     /// Arena slots this set has capacity for (the high-water cycle-arena
-    /// size it has seen) — reported in `StreamStats` so the dense-bitset
+    /// size it has seen) — reported in `RuntimeStats` so the dense-bitset
     /// swap stays visible in telemetry.
     pub(crate) fn capacity(&self) -> usize {
         self.stamps.len()

@@ -18,14 +18,15 @@
 //!   with a strategy set ([`arb_core::Strategy`] trait objects), a
 //!   [`ranking::RankingPolicy`], and a [`pipeline::PipelineConfig`]; each
 //!   run is a pure function of the market state passed in.
-//! * [`streaming::StreamingEngine`] — the incremental engine: owns a
-//!   graph + persistent cycle index, consumes chain event batches, and
-//!   re-evaluates only the cycles the events touched while keeping a
-//!   standing ranked opportunity set identical to a fresh batch run.
-//! * [`runtime::ShardedRuntime`] — the runtime the ingest, journal and
-//!   serve layers drive: one streaming engine over the whole universe
-//!   (its evaluation fans out on the process-wide worker pool), plus a
-//!   standing revision, tick counters, a pre-tick hook and checkpoints.
+//! * [`runtime::ShardedRuntime`] — the incremental engine the ingest,
+//!   journal and serve layers drive: owns a graph + persistent cycle
+//!   index, consumes chain event batches, and re-evaluates only the
+//!   cycles the events touched (fanned out on the process-wide worker
+//!   pool) while keeping a standing ranked opportunity set identical to
+//!   a fresh batch run. It also carries the standing revision, the
+//!   cumulative [`runtime::RuntimeStats`], a pre-tick hook and
+//!   plain-data checkpoints; its per-tick delta → dirty → re-evaluate
+//!   step lives in the private `streaming` module.
 //! * [`opportunity::ArbitrageOpportunity`] — the uniform result: cycle,
 //!   winning strategy, per-hop optimal inputs, gross/net monetized profit.
 //! * [`ranking`] — pluggable execution-priority policies.
@@ -64,9 +65,9 @@ pub mod pipeline;
 pub mod ranking;
 pub mod runtime;
 mod scratch;
-pub mod streaming;
+mod streaming;
 
-pub use checkpoint::{EngineCheckpoint, PoolSlot, RuntimeCheckpoint};
+pub use checkpoint::{PoolSlot, RuntimeCheckpoint};
 pub use error::EngineError;
 pub use opportunity::{ArbitrageOpportunity, EvaluatedOpportunity};
 pub use pipeline::{
@@ -75,4 +76,3 @@ pub use pipeline::{
 };
 pub use ranking::{RankByGrossProfit, RankByNetProfit, RankByProfitPerHop, RankingPolicy};
 pub use runtime::{RuntimeReport, RuntimeStats, ScreenTotals, ShardedRuntime, TickHook};
-pub use streaming::{StreamReport, StreamStats, StreamingEngine};

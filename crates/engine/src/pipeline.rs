@@ -89,7 +89,7 @@ impl Default for PipelineConfig {
 
 impl PipelineConfig {
     /// Checks the configuration for contradictions. Called by every
-    /// pipeline run and by [`crate::StreamingEngine::new`]; invalid
+    /// pipeline run and by [`crate::ShardedRuntime::new`]; invalid
     /// configs fail loudly instead of being silently clamped.
     ///
     /// # Errors
@@ -448,8 +448,8 @@ impl OpportunityPipeline {
     }
 
     /// Classifies one cycle for evaluation: the batch pipeline's
-    /// discovery step, mirrored hop-for-hop by the streaming engine's
-    /// scratch-arena preparation (`StreamingEngine::refresh_standing`) so
+    /// discovery step, mirrored hop-for-hop by the runtime's
+    /// scratch-arena preparation (`ShardedRuntime::refresh_standing`) so
     /// the arbitrage filter and price resolution can never drift between
     /// the two paths. The filter reads the graph's **cached** per-slot
     /// log rates ([`TokenGraph::cycle_log_rate`]) — bit-identical to
@@ -497,7 +497,7 @@ impl OpportunityPipeline {
     /// deterministic tie-breaks (loop length, token order, then pool
     /// order — two distinct cycles always differ in one of those, so no
     /// two distinct opportunities ever compare `Equal`). Shared by
-    /// [`OpportunityPipeline::rank`] and [`crate::StreamingEngine::ranked`]
+    /// [`OpportunityPipeline::rank`] and the runtime's memoized ranking
     /// so every path orders identically.
     pub(crate) fn compare(
         &self,

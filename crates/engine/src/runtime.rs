@@ -1,49 +1,57 @@
-//! The runtime: one [`StreamingEngine`] over the whole pool universe,
-//! plus the revision, counters and observability the layers above key
-//! on.
+//! The runtime: the one incremental engine the ingest, journal and serve
+//! layers drive.
 //!
 //! ```text
-//! events ──▶ StreamingEngine::advance ──▶ StreamingEngine::ranked ──▶ RuntimeReport
-//!            (apply, screen, evaluate      (memoized per engine
-//!             dirty cycles on the           standing revision)
-//!             worker pool)
+//! events ──▶ apply_event ──▶ refresh_standing ──▶ ranked ──▶ RuntimeReport
+//!            apply deltas,    screen + evaluate      memoized per
+//!            dirty touched    only the dirty         standing
+//!            cycles           cycles on the          revision
+//!                             worker pool
+//!            └──────────── streaming.rs ────────┘
 //! ```
 //!
-//! Every paper strategy runs per cycle (eq. 8), so the engine's
-//! evaluation already fans out over the process-wide worker pool; there
-//! is no serial section left for a second engine to parallelize. A new
-//! pool — wherever it attaches — only dirties the cycles it closes, so a
-//! pool that joins two components costs those cycles and nothing more.
+//! [`ShardedRuntime`] owns the graph, the persistent cycle index, the
+//! dirty set, the scratch arena and the standing opportunity set, plus
+//! what the layers above key on: a standing revision, cumulative
+//! [`RuntimeStats`] with an optional registry mirror, a pre-tick
+//! [`TickHook`], and plain-data checkpoints
+//! ([`crate::RuntimeCheckpoint`]).
 //!
-//! The type keeps its historical name and constructor shape; the output
-//! of [`ShardedRuntime::apply_events`] is by construction identical to a
-//! [`StreamingEngine`] fed the same event stream
-//! (`tests/runtime_equivalence.rs` checks it across the workload
-//! catalog).
+//! Every paper strategy runs per cycle (eq. 8), so evaluation fans out
+//! over the process-wide worker pool. A new pool — wherever it attaches
+//! — only dirties the cycles it closes, so a pool that joins two
+//! components costs those cycles and nothing more. After any event
+//! sequence the ranking is bit-identical to a batch
+//! [`OpportunityPipeline::run_graph`] over [`ShardedRuntime::graph`]
+//! under the same feed (`tests/runtime_equivalence.rs` checks it after
+//! every tick across the workload catalog). The type keeps its
+//! historical name and constructor shape.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use arb_amm::pool::Pool;
+use arb_amm::pool::{Pool, PoolId};
 use arb_cex::feed::PriceFeed;
 use arb_dexsim::events::Event;
-use arb_graph::TokenGraph;
-use arb_obs::{Counter, Gauge, Histogram, Obs};
+use arb_graph::{CycleId, CycleIndex, TokenGraph};
+use arb_obs::{Counter, Gauge, Histogram, Obs, SpanTimer};
 
-use crate::checkpoint::RuntimeCheckpoint;
+use crate::checkpoint::{PoolSlot, RuntimeCheckpoint};
+use crate::dirty::DirtyCycleSet;
 use crate::error::EngineError;
 use crate::opportunity::ArbitrageOpportunity;
 use crate::pipeline::OpportunityPipeline;
-use crate::streaming::StreamingEngine;
+use crate::scratch::ScratchArena;
 
-/// A hook invoked at the start of every tick, before the engine sees the
+/// A hook invoked at the start of every tick, before the runtime sees the
 /// tick's events — the seam fault-injection harnesses use to make a tick
 /// slow or panic at a chosen tick, without the runtime knowing anything
 /// about chaos plans.
 ///
 /// Invoked on the caller's thread, so a panicking hook unwinds there
-/// with the engine untouched. Hooks are **not** part of checkpoints: a
+/// with the runtime untouched. Hooks are **not** part of checkpoints: a
 /// recovered runtime starts with no hook, and supervisors re-install
 /// theirs after rebuild.
 pub trait TickHook: Send + Sync + fmt::Debug {
@@ -52,7 +60,8 @@ pub trait TickHook: Send + Sync + fmt::Debug {
     fn before_tick(&self, tick: u64);
 }
 
-/// Cumulative counters for one runtime's lifetime.
+/// Cumulative counters for one runtime's lifetime. Every counter is
+/// monotone; a restored runtime restarts them from zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Event batches processed ([`ShardedRuntime::apply_events`] calls).
@@ -70,19 +79,98 @@ pub struct RuntimeStats {
     pub last_tick_nanos: u64,
     /// Total wall-clock nanoseconds across all ticks.
     pub total_tick_nanos: u64,
+    /// Events consumed (all variants).
+    pub events_applied: usize,
+    /// `Sync` reserve updates applied to the graph.
+    pub syncs_applied: usize,
+    /// Pools added from `PoolCreated` events.
+    pub pools_added: usize,
+    /// Pools retired after degenerate reserves.
+    pub pools_retired: usize,
+    /// Retired pools revived by a later valid `Sync`.
+    pub pools_revived: usize,
+    /// Cycles newly indexed (cold start, restore, added/revived pools).
+    pub cycles_added: usize,
+    /// Cycles retired with their pools.
+    pub cycles_retired: usize,
+    /// Cycle-ids marked dirty (deduplicated per refresh).
+    pub cycles_dirtied: usize,
+    /// Dirty cycles actually re-examined across all refreshes.
+    pub cycles_evaluated: usize,
+    /// Strategy evaluation attempts on dirty profitable cycles.
+    pub strategy_evaluations: usize,
+    /// Live cycles whose standing evaluation was reused instead of being
+    /// recomputed — the per-refresh gap to a full rescan, accumulated.
+    pub evaluations_saved: usize,
+    /// Refresh passes run.
+    pub refreshes: usize,
+    /// Dirty cycles the incremental log-sum screen dropped without
+    /// preparation or strategy evaluation (provably `Σ log p ≤ 0`).
+    pub cycles_screened_out: usize,
+    /// Dirty cycles dropped because a sound profit upper bound could
+    /// not clear the effective gross floor (execution cost + net-profit
+    /// floor) at current feed prices — by either the pool-potential or
+    /// the per-hop fee-aware bound.
+    pub cycles_floor_screened: usize,
+    /// The subset of [`RuntimeStats::cycles_floor_screened`] only the
+    /// per-hop fee-aware bound could discharge — marginal
+    /// whale-displaced loops whose book displacement (pool-potential
+    /// bound) looks huge but whose fee-adjusted marginal rates cannot
+    /// clear the floor.
+    pub cycles_hop_screened: usize,
+    /// Dirty cycles skipped because a hop's fee-adjusted rate degenerated
+    /// (`Σ log p = -∞`) — counted separately from ordinary non-arbitrage
+    /// cycles instead of being conflated with them.
+    pub cycles_degenerate_skipped: usize,
+    /// O(1) `new − old` delta updates applied to per-cycle log-sums.
+    pub screen_delta_updates: usize,
+    /// Exact log-sum resummations (periodic drift control, or a
+    /// non-finite rate passing through).
+    pub screen_resummations: usize,
+    /// Scratch-arena capacity-growth episodes; flat once warm ⇔ the
+    /// refresh fan-out scratch path is allocation-free.
+    pub scratch_grow_events: usize,
+    /// Arena slots tracked by the generation-stamped dense dirty bitset.
+    /// A level, not a count: it only grows with the cycle arena.
+    pub dirty_bitset_capacity: usize,
 }
 
 impl fmt::Display for RuntimeStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} ticks, {} standing opportunities, last tick {}ns (merge {}ns)",
-            self.ticks, self.merged_opportunities, self.last_tick_nanos, self.last_merge_nanos
+            "{} ticks, {} standing opportunities, last tick {}ns (merge {}ns); \
+             {} events ({} syncs), {} cycles dirtied, {} evaluated \
+             ({} screened, {} floor-screened ({} by hop bound), \
+             {} degenerate), {} evaluations saved over {} refreshes \
+             (+{} pools, -{} pools, {} revived; screen {}Δ/{}Σ, \
+             bitset {} slots, {} scratch grows)",
+            self.ticks,
+            self.merged_opportunities,
+            self.last_tick_nanos,
+            self.last_merge_nanos,
+            self.events_applied,
+            self.syncs_applied,
+            self.cycles_dirtied,
+            self.cycles_evaluated,
+            self.cycles_screened_out,
+            self.cycles_floor_screened,
+            self.cycles_hop_screened,
+            self.cycles_degenerate_skipped,
+            self.evaluations_saved,
+            self.refreshes,
+            self.pools_added,
+            self.pools_retired,
+            self.pools_revived,
+            self.screen_delta_updates,
+            self.screen_resummations,
+            self.dirty_bitset_capacity,
+            self.scratch_grow_events
         )
     }
 }
 
-/// The engine's profitability-screen counters, cumulative for the
+/// The runtime's profitability-screen counters, cumulative for the
 /// runtime's lifetime (like [`ShardedRuntime::cycles_evaluated`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScreenTotals {
@@ -120,24 +208,84 @@ impl fmt::Display for ScreenTotals {
     }
 }
 
-/// Pre-resolved registry instruments for the runtime.
+/// Reads one [`RuntimeStats`] field.
+type StatField = fn(&RuntimeStats) -> usize;
+
+/// The additive registry counters, one per cumulative [`RuntimeStats`]
+/// field. `runtime.merged_opportunities` and
+/// `engine.dirty_bitset_capacity` are levels and mirror as gauges.
+const COUNTERS: [(&str, StatField); 20] = [
+    ("runtime.ticks", |s| s.ticks),
+    ("engine.events_applied", |s| s.events_applied),
+    ("engine.syncs_applied", |s| s.syncs_applied),
+    ("engine.pools_added", |s| s.pools_added),
+    ("engine.pools_retired", |s| s.pools_retired),
+    ("engine.pools_revived", |s| s.pools_revived),
+    ("engine.cycles_added", |s| s.cycles_added),
+    ("engine.cycles_retired", |s| s.cycles_retired),
+    ("engine.cycles_dirtied", |s| s.cycles_dirtied),
+    ("engine.cycles_evaluated", |s| s.cycles_evaluated),
+    ("engine.strategy_evaluations", |s| s.strategy_evaluations),
+    ("engine.evaluations_saved", |s| s.evaluations_saved),
+    ("engine.refreshes", |s| s.refreshes),
+    ("engine.cycles_screened_out", |s| s.cycles_screened_out),
+    ("engine.cycles_floor_screened", |s| s.cycles_floor_screened),
+    ("engine.cycles_hop_screened", |s| s.cycles_hop_screened),
+    ("engine.cycles_degenerate_skipped", |s| {
+        s.cycles_degenerate_skipped
+    }),
+    ("engine.screen_delta_updates", |s| s.screen_delta_updates),
+    ("engine.screen_resummations", |s| s.screen_resummations),
+    ("engine.scratch_grow_events", |s| s.scratch_grow_events),
+];
+
+/// Pre-resolved registry instruments mirroring [`RuntimeStats`], plus
+/// the per-tick histograms and the refresh/rank span timers.
+///
+/// Counters are *additive* across runtimes sharing a registry: each
+/// runtime pushes only the delta since its last sync (`mirrored`), so a
+/// registry that outlives a runtime rebuild keeps counting. Gauges hold
+/// the live runtime's level. Syncs happen at the end of every tick, so a
+/// snapshot taken between ticks always agrees with the stats struct.
 #[derive(Debug)]
-struct RuntimeObs {
+pub(crate) struct Instruments {
+    pub(crate) refresh: SpanTimer,
+    rank: SpanTimer,
     tick_ns: Histogram,
     merge_ns: Histogram,
-    ticks: Counter,
+    counters: [Counter; COUNTERS.len()],
     merged_opportunities: Gauge,
+    dirty_bitset_capacity: Gauge,
+    /// The stats value last pushed to the registry.
+    mirrored: RuntimeStats,
 }
 
-impl RuntimeObs {
+impl Instruments {
     fn new(obs: &Obs) -> Self {
         let registry = obs.registry();
-        RuntimeObs {
+        Instruments {
+            refresh: obs.span("engine.refresh.eval_ns"),
+            rank: obs.span("engine.rank_ns"),
             tick_ns: registry.histogram("runtime.tick_ns"),
             merge_ns: registry.histogram("runtime.merge_ns"),
-            ticks: registry.counter("runtime.ticks"),
+            counters: COUNTERS.map(|(name, _)| registry.counter(name)),
             merged_opportunities: registry.gauge("runtime.merged_opportunities"),
+            dirty_bitset_capacity: registry.gauge("engine.dirty_bitset_capacity"),
+            mirrored: RuntimeStats::default(),
         }
+    }
+
+    /// Pushes the field-wise delta between `current` and the last sync
+    /// into the counters, and sets the gauges.
+    fn sync(&mut self, current: &RuntimeStats) {
+        for ((_, field), counter) in COUNTERS.iter().zip(&self.counters) {
+            counter.add((field(current) - field(&self.mirrored)) as u64);
+        }
+        self.merged_opportunities
+            .set(current.merged_opportunities as f64);
+        self.dirty_bitset_capacity
+            .set(current.dirty_bitset_capacity as f64);
+        self.mirrored = *current;
     }
 }
 
@@ -157,30 +305,48 @@ impl RuntimeReport {
     }
 }
 
-/// One streaming engine plus the runtime's revision, counters and
-/// observability. See the module docs;
+/// The incremental engine: an owned graph + cycle index + standing
+/// opportunity set, advanced by event batches. See the module docs;
 /// [`ShardedRuntime::apply_events`] is the whole interface.
 #[derive(Debug)]
 pub struct ShardedRuntime {
-    engine: StreamingEngine,
-    /// The engine's standing revision as of the last ranking step.
-    engine_revision: u64,
-    /// Bumped whenever a ranking step saw the engine's standing set move
-    /// (see [`ShardedRuntime::standing_revision`]).
+    pub(crate) pipeline: OpportunityPipeline,
+    pub(crate) graph: TokenGraph,
+    pub(crate) index: CycleIndex,
+    pub(crate) dirty: DirtyCycleSet,
+    /// Reusable flat buffers + evaluation slots for the refresh hot
+    /// path; grows to a high-water mark, then never allocates again.
+    pub(crate) scratch: ScratchArena,
+    pub(crate) standing: BTreeMap<CycleId, ArbitrageOpportunity>,
+    /// USD price per token index as of the last refresh (`None` =
+    /// unpriced then). Refreshes diff the feed against this to dirty the
+    /// cycles a price move invalidates.
+    pub(crate) feed_prices: Vec<Option<f64>>,
+    /// Set whenever the standing set may have changed since the last
+    /// revision bump (conservative: re-inserting a bitwise-identical
+    /// evaluation still counts).
+    pub(crate) standing_moved: bool,
+    /// See [`ShardedRuntime::standing_revision`].
     revision: u64,
-    stats: RuntimeStats,
+    /// The ranking memoized per revision: a tick at an unchanged
+    /// revision re-clones this instead of re-sorting the standing set.
+    rank_cache: Option<(u64, Vec<ArbitrageOpportunity>)>,
+    /// Ranking steps that missed the cache and sorted.
+    pub(crate) rank_sorts: usize,
+    pub(crate) stats: RuntimeStats,
     /// Registry instruments, when observability is attached
     /// ([`ShardedRuntime::set_obs`]).
-    obs: Option<RuntimeObs>,
+    pub(crate) obs: Option<Instruments>,
     /// Pre-tick hook ([`ShardedRuntime::set_tick_hook`]).
     tick_hook: Option<Arc<dyn TickHook>>,
 }
 
 impl ShardedRuntime {
-    /// Builds the runtime over an initial pool universe. The engine
-    /// starts cold; the first [`ShardedRuntime::refresh`] produces the
-    /// full ranking. The third argument is ignored (it once capped a
-    /// shard count) and kept so existing callers still compile.
+    /// Builds the runtime over an initial pool universe: constructs the
+    /// graph and enumerates the cycle index once. The runtime starts
+    /// cold; the first [`ShardedRuntime::refresh`] produces the full
+    /// ranking. The third argument is ignored (it once capped a shard
+    /// count) and kept so existing callers still compile.
     ///
     /// # Errors
     ///
@@ -195,7 +361,9 @@ impl ShardedRuntime {
     }
 
     /// Builds the runtime over an already-constructed graph, which may
-    /// contain retired slots (a chain mirror with degenerate pools).
+    /// contain retired slots (e.g. a chain mirror where some pools have
+    /// degenerated — they keep their slot for id alignment and revive on
+    /// a later valid `Sync`). Retired pools contribute no cycles.
     ///
     /// # Errors
     ///
@@ -204,15 +372,38 @@ impl ShardedRuntime {
         pipeline: OpportunityPipeline,
         graph: TokenGraph,
     ) -> Result<Self, EngineError> {
-        Ok(Self::around(StreamingEngine::with_graph(pipeline, graph)?))
+        let config = *pipeline.config();
+        config.validate()?;
+        let index = CycleIndex::build(&graph, config.min_cycle_len, config.max_cycle_len)?;
+        Ok(Self::assemble(pipeline, graph, index))
     }
 
-    fn around(engine: StreamingEngine) -> Self {
+    /// A cold runtime over `graph` and its `index`: every live cycle
+    /// dirty, the standing set empty, revision and counters at zero.
+    fn assemble(pipeline: OpportunityPipeline, graph: TokenGraph, index: CycleIndex) -> Self {
+        let mut dirty = DirtyCycleSet::new();
+        for (id, _) in index.iter_live() {
+            dirty.insert(id);
+        }
+        let stats = RuntimeStats {
+            cycles_added: dirty.len(),
+            cycles_dirtied: dirty.len(),
+            dirty_bitset_capacity: dirty.capacity(),
+            ..RuntimeStats::default()
+        };
         ShardedRuntime {
-            engine_revision: engine.standing_revision(),
-            engine,
+            pipeline,
+            graph,
+            index,
+            dirty,
+            scratch: ScratchArena::default(),
+            standing: BTreeMap::new(),
+            feed_prices: Vec::new(),
+            standing_moved: false,
             revision: 0,
-            stats: RuntimeStats::default(),
+            rank_cache: None,
+            rank_sorts: 0,
+            stats,
             obs: None,
             tick_hook: None,
         }
@@ -229,19 +420,18 @@ impl ShardedRuntime {
         self.tick_hook = None;
     }
 
-    /// Attaches observability: `runtime.ticks` and
-    /// `runtime.merged_opportunities` mirror [`RuntimeStats`],
-    /// `runtime.tick_ns`/`runtime.merge_ns` histograms record every tick,
-    /// and the engine reports its counters and refresh/rank spans under
-    /// `engine.*`.
+    /// Attaches observability: `runtime.*` and `engine.*` registry
+    /// instruments mirror [`RuntimeStats`] (additive counters, plus the
+    /// `runtime.merged_opportunities` and `engine.dirty_bitset_capacity`
+    /// gauges), `runtime.tick_ns`/`runtime.merge_ns` histograms record
+    /// every tick, and `engine.refresh.eval_ns`/`engine.rank_ns` spans
+    /// time each refresh and ranking. Counters already accumulated —
+    /// cold-start cycle enumeration, work done before attachment — are
+    /// pushed immediately, so the registry never under-reports.
     pub fn set_obs(&mut self, obs: &Obs) {
-        let runtime_obs = RuntimeObs::new(obs);
-        runtime_obs.ticks.add(self.stats.ticks as u64);
-        runtime_obs
-            .merged_opportunities
-            .set(self.stats.merged_opportunities as f64);
-        self.obs = Some(runtime_obs);
-        self.engine.set_obs(obs);
+        let mut instruments = Instruments::new(obs);
+        instruments.sync(&self.stats);
+        self.obs = Some(instruments);
     }
 
     /// Cumulative runtime counters.
@@ -249,34 +439,34 @@ impl ShardedRuntime {
         &self.stats
     }
 
-    /// The engine behind the runtime.
-    pub fn engine(&self) -> &StreamingEngine {
-        &self.engine
+    /// The runtime's current graph view, retired slots included.
+    pub fn graph(&self) -> &TokenGraph {
+        &self.graph
     }
 
-    /// Monotone revision of the standing set. Bumped exactly when a tick
-    /// observed the engine's standing ranking move, so two calls
-    /// returning the same value bracket a window in which
-    /// [`ShardedRuntime::apply_events`] rankings were unchanged.
-    /// Restored runtimes restart at zero; serving layers that survive a
-    /// restore must re-anchor rather than compare across the gap.
+    /// Monotone revision of the standing set. Bumped at most once per
+    /// [`ShardedRuntime::apply_events`], and only when that tick saw the
+    /// standing set move, so two calls returning the same value bracket
+    /// a window in which the rankings were unchanged. Restored runtimes
+    /// restart at zero; serving layers that survive a restore must
+    /// re-anchor rather than compare across the gap.
     pub fn standing_revision(&self) -> u64 {
         self.revision
     }
 
     /// Live cycles in the universe.
     pub fn live_cycles(&self) -> usize {
-        self.engine.index().live_cycles()
+        self.index.live_cycles()
     }
 
     /// Dirty cycles evaluated since construction (or restore).
     pub fn cycles_evaluated(&self) -> usize {
-        self.engine.stats().cycles_evaluated
+        self.stats.cycles_evaluated
     }
 
     /// Profitability-screen counters since construction (or restore).
     pub fn screen_totals(&self) -> ScreenTotals {
-        let stats = self.engine.stats();
+        let stats = &self.stats;
         ScreenTotals {
             cycles_screened_out: stats.cycles_screened_out,
             cycles_floor_screened: stats.cycles_floor_screened,
@@ -288,18 +478,20 @@ impl ShardedRuntime {
         }
     }
 
-    /// Applies a batch of chain events, brings the standing set current
-    /// against `feed`, and returns the ranking: exactly what
-    /// [`StreamingEngine::apply_events`] returns for the same batch.
+    /// Applies a batch of chain events, re-evaluates **only** the cycles
+    /// they (and any feed moves) touched, and returns the standing
+    /// ranking.
     ///
     /// # Errors
     ///
-    /// * [`EngineError::Desync`] — an event references a pool the engine
+    /// * [`EngineError::Desync`] — an event references a pool the runtime
     ///   never saw, or a `PoolCreated` arrived out of slot order; rebuild
     ///   from a fresh snapshot.
     /// * [`EngineError::Graph`] / [`EngineError::Strategy`] — forwarded
-    ///   engine failures. The engine may have partially applied the
-    ///   batch; treat the runtime as desynchronized and rebuild.
+    ///   evaluation failures (benign thin-interior infeasibility is only
+    ///   counted). An event may have been partially applied; treat the
+    ///   runtime as desynchronized and rebuild. A failed refresh alone
+    ///   keeps every pending cycle dirty and can simply be retried.
     pub fn apply_events<F: PriceFeed + Sync>(
         &mut self,
         events: &[Event],
@@ -309,15 +501,16 @@ impl ShardedRuntime {
         if let Some(hook) = &self.tick_hook {
             hook.before_tick(self.stats.ticks as u64);
         }
-        self.engine.advance(events, feed)?;
+        for event in events {
+            self.apply_event(event)?;
+        }
+        self.refresh_standing(feed)?;
 
         let rank_start = Instant::now();
-        let engine_revision = self.engine.standing_revision();
-        if engine_revision != self.engine_revision {
-            self.engine_revision = engine_revision;
+        if std::mem::take(&mut self.standing_moved) {
             self.revision += 1;
         }
-        let opportunities = self.engine.ranked();
+        let opportunities = self.ranked();
 
         let merge_nanos = rank_start.elapsed().as_nanos() as u64;
         let tick_nanos = tick_start.elapsed().as_nanos() as u64;
@@ -328,11 +521,10 @@ impl ShardedRuntime {
         stats.total_merge_nanos += merge_nanos;
         stats.last_tick_nanos = tick_nanos;
         stats.total_tick_nanos += tick_nanos;
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &mut self.obs {
             obs.tick_ns.record(tick_nanos);
             obs.merge_ns.record(merge_nanos);
-            obs.ticks.add(1);
-            obs.merged_opportunities.set(opportunities.len() as f64);
+            obs.sync(&self.stats);
         }
         Ok(RuntimeReport {
             opportunities,
@@ -340,7 +532,7 @@ impl ShardedRuntime {
         })
     }
 
-    /// Brings the engine current against `feed` (re-evaluating cycles
+    /// Brings the runtime current against `feed` (re-evaluating cycles
     /// whose token prices moved) and returns the ranking.
     ///
     /// # Errors
@@ -350,54 +542,107 @@ impl ShardedRuntime {
         self.apply_events(&[], feed)
     }
 
-    /// Captures the runtime's durable state: the engine's checkpoint.
-    /// Call between ticks; the capture is pure and cheap relative to a
-    /// tick.
+    /// The standing set in execution-priority order (the pipeline's
+    /// ranking policy, tie-breaks, and `top_k` cut), memoized per
+    /// standing revision. Entries are shared handles, so both the cache
+    /// and the returned `Vec` hold refcount bumps, not copies.
+    fn ranked(&mut self) -> Vec<ArbitrageOpportunity> {
+        let _rank_span = self.obs.as_ref().map(|o| o.rank.start());
+        if let Some((revision, ranked)) = &self.rank_cache {
+            if *revision == self.revision {
+                return ranked.clone();
+            }
+        }
+        self.rank_sorts += 1;
+        let mut refs: Vec<&ArbitrageOpportunity> = self.standing.values().collect();
+        refs.sort_by(|a, b| self.pipeline.compare(a, b));
+        if let Some(k) = self.pipeline.config().top_k {
+            refs.truncate(k);
+        }
+        let ranked: Vec<ArbitrageOpportunity> = refs.into_iter().cloned().collect();
+        self.rank_cache = Some((self.revision, ranked.clone()));
+        ranked
+    }
+
+    /// Captures the runtime's durable state as plain data: every pool
+    /// slot and the cycle-index arena. Standing opportunity values are
+    /// not captured — [`ShardedRuntime::restore`] recomputes them
+    /// bit-identically on its first refresh, because evaluation is a
+    /// pure function of (reserves, feed). Call between ticks; the
+    /// capture is pure and cheap relative to a tick.
     pub fn checkpoint(&self) -> RuntimeCheckpoint {
+        let (min_cycle_len, max_cycle_len) = self.index.length_bounds();
+        let (arena, free) = self.index.to_parts();
         RuntimeCheckpoint {
-            engine: self.engine.checkpoint(),
+            min_cycle_len,
+            max_cycle_len,
+            slots: (0..self.graph.pool_count())
+                .map(|i| PoolSlot::capture(&self.graph, PoolId::new(i as u32)))
+                .collect(),
+            arena,
+            free,
             feed: Vec::new(),
             source_positions: Vec::new(),
         }
     }
 
-    /// Rebuilds a runtime from a checkpoint
-    /// ([`StreamingEngine::restore`]). Cumulative [`RuntimeStats`]
-    /// restart from zero; the first refresh reproduces the checkpointed
-    /// ranking bit-for-bit under the same feed.
+    /// Rebuilds a runtime from a checkpoint: same graph (including
+    /// retired slots), same cycle index (same `CycleId`s, same future
+    /// slot recycling). Every live cycle starts dirty and the standing
+    /// set empty, so the first refresh reproduces the checkpointed
+    /// ranking bit-for-bit under the same feed; the revision and
+    /// cumulative [`RuntimeStats`] restart from zero.
     ///
     /// # Errors
     ///
     /// * [`EngineError::Config`] — invalid pipeline config, or cycle
-    ///   bounds that contradict the checkpoint's.
-    /// * [`EngineError::Graph`] — the checkpoint fails validation
+    ///   length bounds that contradict the checkpoint's.
+    /// * [`EngineError::Graph`] — the checkpoint's slots or arena are
+    ///   internally inconsistent
     ///   ([`arb_graph::GraphError::InvalidCheckpoint`]).
     pub fn restore(
         pipeline: OpportunityPipeline,
         checkpoint: &RuntimeCheckpoint,
     ) -> Result<Self, EngineError> {
-        Ok(Self::around(StreamingEngine::restore(
-            pipeline,
-            &checkpoint.engine,
-        )?))
+        let config = *pipeline.config();
+        config.validate()?;
+        if (config.min_cycle_len, config.max_cycle_len)
+            != (checkpoint.min_cycle_len, checkpoint.max_cycle_len)
+        {
+            return Err(EngineError::Config(format!(
+                "checkpoint cycle bounds {}..={} do not match pipeline config {}..={}",
+                checkpoint.min_cycle_len,
+                checkpoint.max_cycle_len,
+                config.min_cycle_len,
+                config.max_cycle_len
+            )));
+        }
+        let graph = checkpoint.build_graph()?;
+        let index = CycleIndex::from_parts(
+            &graph,
+            checkpoint.min_cycle_len,
+            checkpoint.max_cycle_len,
+            checkpoint.arena.clone(),
+            checkpoint.free.clone(),
+        )?;
+        Ok(Self::assemble(pipeline, graph, index))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
     use arb_amm::fee::FeeRate;
-    use arb_amm::pool::PoolId;
     use arb_amm::token::TokenId;
     use arb_cex::feed::PriceTable;
     use arb_dexsim::units::to_raw;
 
-    fn t(i: u32) -> TokenId {
+    pub(crate) fn t(i: u32) -> TokenId {
         TokenId::new(i)
     }
 
-    fn p(i: u32) -> PoolId {
+    pub(crate) fn p(i: u32) -> PoolId {
         PoolId::new(i)
     }
 
@@ -423,7 +668,7 @@ mod tests {
         feed
     }
 
-    fn sync(pool: u32, a: f64, b: f64) -> Event {
+    pub(crate) fn sync(pool: u32, a: f64, b: f64) -> Event {
         Event::Sync {
             pool: p(pool),
             reserve_a: to_raw(a),
@@ -442,42 +687,46 @@ mod tests {
         }
     }
 
-    /// The oracle shared by every test here: the runtime's output must be
-    /// bit-identical to one engine fed the same stream.
-    fn assert_matches_single(
-        runtime: &ShardedRuntime,
-        single: &StreamingEngine,
-        ranked: &[ArbitrageOpportunity],
-    ) {
-        let expected = single.ranked();
-        assert_eq!(ranked.len(), expected.len(), "{}", runtime.stats());
-        for (m, e) in ranked.iter().zip(&expected) {
-            assert_eq!(m.cycle.tokens(), e.cycle.tokens());
-            assert_eq!(m.cycle.pools(), e.cycle.pools());
-            assert_eq!(m.strategy, e.strategy);
+    /// Asserts two rankings are identical, bit for bit, position by
+    /// position.
+    pub(crate) fn assert_same_ranking(a: &[ArbitrageOpportunity], b: &[ArbitrageOpportunity]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.cycle.tokens(), y.cycle.tokens());
+            assert_eq!(x.cycle.pools(), y.cycle.pools());
+            assert_eq!(x.strategy, y.strategy);
             assert_eq!(
-                m.gross_profit.value().to_bits(),
-                e.gross_profit.value().to_bits()
+                x.gross_profit.value().to_bits(),
+                y.gross_profit.value().to_bits()
             );
             assert_eq!(
-                m.net_profit.value().to_bits(),
-                e.net_profit.value().to_bits()
+                x.net_profit.value().to_bits(),
+                y.net_profit.value().to_bits()
             );
         }
     }
 
-    /// A runtime and a single engine over the islands, both refreshed.
-    /// The runtime is asked for one shard per island (3), an argument it
-    /// ignores, so a runtime that did shard would fail these tests.
-    fn refreshed_pair(config: PipelineConfig) -> (ShardedRuntime, StreamingEngine) {
-        let feed = island_feed();
+    /// The oracle shared by the runtime's unit tests: the ranking must be
+    /// bit-identical to a batch run over the runtime's own graph.
+    pub(crate) fn assert_matches_batch(
+        runtime: &ShardedRuntime,
+        ranked: &[ArbitrageOpportunity],
+        feed: &PriceTable,
+    ) {
+        let expected = OpportunityPipeline::new(*runtime.pipeline.config())
+            .run_graph(runtime.graph(), feed)
+            .unwrap()
+            .opportunities;
+        assert_same_ranking(ranked, &expected);
+    }
+
+    /// A runtime over the islands, refreshed. It is asked for one shard
+    /// per island (3), an argument it ignores.
+    fn refreshed(config: PipelineConfig) -> ShardedRuntime {
         let mut runtime =
             ShardedRuntime::new(OpportunityPipeline::new(config), island_pools(), 3).unwrap();
-        let mut single =
-            StreamingEngine::new(OpportunityPipeline::new(config), island_pools()).unwrap();
-        runtime.refresh(&feed).unwrap();
-        single.refresh(&feed).unwrap();
-        (runtime, single)
+        runtime.refresh(&island_feed()).unwrap();
+        runtime
     }
 
     #[test]
@@ -485,11 +734,8 @@ mod tests {
         let feed = island_feed();
         let mut runtime =
             ShardedRuntime::new(OpportunityPipeline::default(), island_pools(), 3).unwrap();
-        let mut single =
-            StreamingEngine::new(OpportunityPipeline::default(), island_pools()).unwrap();
-        single.refresh(&feed).unwrap();
         let report = runtime.refresh(&feed).unwrap();
-        assert_matches_single(&runtime, &single, &report.opportunities);
+        assert_matches_batch(&runtime, &report.opportunities, &feed);
         assert_eq!(report.opportunities.len(), 2, "both triangles arb");
         assert_eq!(runtime.standing_revision(), 1);
     }
@@ -497,13 +743,13 @@ mod tests {
     #[test]
     fn syncs_reevaluate_only_the_touched_cycles() {
         let feed = island_feed();
-        let (mut runtime, mut single) = refreshed_pair(PipelineConfig::default());
+        let mut runtime = refreshed(PipelineConfig::default());
         let evaluated_cold = runtime.cycles_evaluated();
 
-        let batch = [sync(3, 1_000.0, 1_060.0)];
-        single.apply_events(&batch, &feed).unwrap();
-        let report = runtime.apply_events(&batch, &feed).unwrap();
-        assert_matches_single(&runtime, &single, &report.opportunities);
+        let report = runtime
+            .apply_events(&[sync(3, 1_000.0, 1_060.0)], &feed)
+            .unwrap();
+        assert_matches_batch(&runtime, &report.opportunities, &feed);
         // Only the touched triangle's two directed cycles re-evaluated.
         assert_eq!(runtime.cycles_evaluated() - evaluated_cold, 2);
     }
@@ -511,20 +757,20 @@ mod tests {
     #[test]
     fn pool_created_same_component_stays_put() {
         let feed = island_feed();
-        let (mut runtime, mut single) = refreshed_pair(PipelineConfig::default());
+        let mut runtime = refreshed(PipelineConfig::default());
 
         // A parallel pool inside the paper triangle's component.
-        let batch = [created(7, 0, 1, 150.0, 250.0)];
-        single.apply_events(&batch, &feed).unwrap();
-        let report = runtime.apply_events(&batch, &feed).unwrap();
+        let report = runtime
+            .apply_events(&[created(7, 0, 1, 150.0, 250.0)], &feed)
+            .unwrap();
         assert_eq!(report.stats.rebuilds, 0);
-        assert_matches_single(&runtime, &single, &report.opportunities);
+        assert_matches_batch(&runtime, &report.opportunities, &feed);
     }
 
     #[test]
     fn bridge_pool_is_not_a_cold_refresh() {
         let feed = island_feed();
-        let (mut runtime, mut single) = refreshed_pair(PipelineConfig::default());
+        let mut runtime = refreshed(PipelineConfig::default());
 
         // Token 2 (paper triangle) ↔ token 4 (second triangle) joins the
         // two components but closes no cycle; token 2 ↔ token 3 then
@@ -537,9 +783,8 @@ mod tests {
         ] {
             let cycles_before = runtime.live_cycles();
             let evaluated_before = runtime.cycles_evaluated();
-            single.apply_events(&batch, &feed).unwrap();
             let report = runtime.apply_events(&batch, &feed).unwrap();
-            assert_matches_single(&runtime, &single, &report.opportunities);
+            assert_matches_batch(&runtime, &report.opportunities, &feed);
             if let Event::PoolCreated { .. } = batch[0] {
                 let added = runtime.live_cycles() - cycles_before;
                 assert_eq!(runtime.cycles_evaluated() - evaluated_before, added);
@@ -552,7 +797,7 @@ mod tests {
     #[test]
     fn retire_and_revive_match_single_engine() {
         let feed = island_feed();
-        let (mut runtime, mut single) = refreshed_pair(PipelineConfig::default());
+        let mut runtime = refreshed(PipelineConfig::default());
 
         for batch in [
             vec![Event::Sync {
@@ -562,9 +807,8 @@ mod tests {
             }],
             vec![sync(0, 100.0, 200.0)],
         ] {
-            single.apply_events(&batch, &feed).unwrap();
             let report = runtime.apply_events(&batch, &feed).unwrap();
-            assert_matches_single(&runtime, &single, &report.opportunities);
+            assert_matches_batch(&runtime, &report.opportunities, &feed);
         }
     }
 
@@ -584,23 +828,46 @@ mod tests {
             .unwrap();
 
         let snapshot = obs.snapshot();
-        assert_eq!(
-            snapshot.counter("runtime.ticks"),
-            Some(runtime.stats().ticks as u64)
-        );
+        let stats = runtime.stats();
+        for (name, field) in COUNTERS {
+            assert_eq!(snapshot.counter(name), Some(field(stats) as u64), "{name}");
+        }
         assert_eq!(
             snapshot.gauge("runtime.merged_opportunities"),
-            Some(runtime.stats().merged_opportunities as f64)
-        );
-        let screen = runtime.screen_totals();
-        assert_eq!(
-            snapshot.counter("engine.strategy_evaluations"),
-            Some(screen.strategy_evaluations as u64)
+            Some(stats.merged_opportunities as f64)
         );
         let ticks = snapshot
             .histogram("runtime.tick_ns")
             .expect("tick histogram registered");
-        assert_eq!(ticks.count, runtime.stats().ticks as u64);
+        assert_eq!(ticks.count, stats.ticks as u64);
+    }
+
+    #[test]
+    fn dirty_bitset_capacity_is_a_level_across_rebuilds() {
+        // A runtime rebuilt on the same registry (a supervisor's
+        // recovery) must leave the gauge at the live runtime's capacity,
+        // not at the sum over every runtime ever attached.
+        let feed = island_feed();
+        let obs = arb_obs::Obs::default();
+        let mut first =
+            ShardedRuntime::new(OpportunityPipeline::default(), island_pools(), 1).unwrap();
+        first.set_obs(&obs);
+        first.refresh(&feed).unwrap();
+        let mut second =
+            ShardedRuntime::restore(OpportunityPipeline::default(), &first.checkpoint()).unwrap();
+        second.set_obs(&obs);
+        second.refresh(&feed).unwrap();
+        let capacity = second.stats().dirty_bitset_capacity;
+        assert!(capacity > 0);
+        assert_eq!(
+            obs.snapshot().gauge("engine.dirty_bitset_capacity"),
+            Some(capacity as f64)
+        );
+        // Counters, by contrast, keep counting across the rebuild.
+        assert_eq!(
+            obs.snapshot().counter("runtime.ticks"),
+            Some((first.stats().ticks + second.stats().ticks) as u64)
+        );
     }
 
     #[test]
@@ -609,39 +876,11 @@ mod tests {
             top_k: Some(1),
             ..PipelineConfig::default()
         };
-        let (mut runtime, single) = refreshed_pair(config);
-        let report = runtime.refresh(&island_feed()).unwrap();
-        assert_eq!(report.opportunities.len(), 1);
-        assert_matches_single(&runtime, &single, &report.opportunities);
-    }
-
-    #[test]
-    fn unknown_pool_desyncs() {
         let feed = island_feed();
-        let mut runtime =
-            ShardedRuntime::new(OpportunityPipeline::default(), island_pools(), 2).unwrap();
-        let err = runtime
-            .apply_events(&[sync(42, 1.0, 1.0)], &feed)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::Desync(_)), "{err:?}");
-
-        let mut runtime =
-            ShardedRuntime::new(OpportunityPipeline::default(), island_pools(), 2).unwrap();
-        let gap = created(11, 0, 9, 1.0, 1.0);
-        let err = runtime.apply_events(&[gap], &feed).unwrap_err();
-        assert!(matches!(err, EngineError::Desync(_)), "{err:?}");
-    }
-
-    #[test]
-    fn invalid_config_rejected_at_construction() {
-        let config = PipelineConfig {
-            min_cycle_len: 4,
-            max_cycle_len: 3,
-            ..PipelineConfig::default()
-        };
-        let err =
-            ShardedRuntime::new(OpportunityPipeline::new(config), island_pools(), 2).unwrap_err();
-        assert!(matches!(err, EngineError::Config(_)), "{err:?}");
+        let mut runtime = refreshed(config);
+        let report = runtime.refresh(&feed).unwrap();
+        assert_eq!(report.opportunities.len(), 1);
+        assert_matches_batch(&runtime, &report.opportunities, &feed);
     }
 
     #[test]
@@ -676,28 +915,14 @@ mod tests {
             "restored runtimes restart at 0"
         );
         let back = restored.refresh(&feed).unwrap();
-        assert_eq!(back.opportunities.len(), live.opportunities.len());
         assert!(!back.opportunities.is_empty(), "non-vacuous");
-        for (a, b) in live.opportunities.iter().zip(&back.opportunities) {
-            assert_eq!(a.cycle.tokens(), b.cycle.tokens());
-            assert_eq!(a.cycle.pools(), b.cycle.pools());
-            assert_eq!(
-                a.net_profit.value().to_bits(),
-                b.net_profit.value().to_bits()
-            );
-        }
+        assert_same_ranking(&back.opportunities, &live.opportunities);
 
         // The restored runtime keeps applying and reviving identically.
         let follow_up = [sync(6, 490.0, 510.0), sync(0, 101.0, 199.0)];
         let a = runtime.apply_events(&follow_up, &feed).unwrap();
         let b = restored.apply_events(&follow_up, &feed).unwrap();
-        assert_eq!(a.opportunities.len(), b.opportunities.len());
-        for (x, y) in a.opportunities.iter().zip(&b.opportunities) {
-            assert_eq!(
-                x.net_profit.value().to_bits(),
-                y.net_profit.value().to_bits()
-            );
-        }
+        assert_same_ranking(&a.opportunities, &b.opportunities);
     }
 
     #[test]
@@ -707,7 +932,7 @@ mod tests {
         let good = runtime.checkpoint();
 
         let mut dangling = good.clone();
-        dangling.engine.slots.truncate(2);
+        dangling.slots.truncate(2);
         let err = ShardedRuntime::restore(OpportunityPipeline::default(), &dangling).unwrap_err();
         assert!(matches!(err, EngineError::Graph(_)), "{err:?}");
 
@@ -717,6 +942,7 @@ mod tests {
         };
         let err = ShardedRuntime::restore(OpportunityPipeline::new(config), &good).unwrap_err();
         assert!(matches!(err, EngineError::Config(_)), "{err:?}");
+        assert!(err.to_string().contains("cycle bounds"), "{err}");
     }
 
     #[test]
@@ -728,8 +954,9 @@ mod tests {
             .apply_events(&[sync(0, 101.0, 199.0)], &feed)
             .unwrap();
         let line = runtime.stats().to_string();
-        assert!(line.contains("ticks"), "{line}");
-        assert!(line.contains("merge"), "{line}");
+        for needle in ["ticks", "merge", "events", "evaluations saved"] {
+            assert!(line.contains(needle), "{needle}: {line}");
+        }
         assert!(!line.contains('\n'));
     }
 }

@@ -1,10 +1,11 @@
 //! The reusable evaluation scratch arena behind the streaming refresh.
 //!
-//! Every `StreamingEngine::refresh_standing` used to allocate per dirty
-//! cycle: a cloned [`arb_graph::Cycle`], a curve `Vec` from
-//! `curves_for`, an `ArbLoop` (two more `Vec`s), a prices `Vec`, and a
-//! collected results `Vec`. This module replaces all of that with one
-//! engine-owned arena of flat structure-of-arrays buffers:
+//! Every incremental refresh (`ShardedRuntime::refresh_standing`) used
+//! to allocate per dirty cycle: a cloned [`arb_graph::Cycle`], a curve
+//! `Vec` from `curves_for`, an `ArbLoop` (two more `Vec`s), a prices
+//! `Vec`, and a collected results `Vec`. This module replaces all of
+//! that with one runtime-owned arena of flat structure-of-arrays
+//! buffers:
 //!
 //! ```text
 //! hops:   [c0h0 c0h1 c0h2 | c1h0 c1h1 | ...]   SwapCurve, flat

@@ -17,7 +17,7 @@ use crate::snapshot::SnapshotStore;
 
 /// What one recovery did: where it restarted from, how much it replayed,
 /// and how long it took. Formatted as a one-line operator log via
-/// [`fmt::Display`], in the same style as the engine's `StreamStats` /
+/// [`fmt::Display`], in the same style as the engine's `RuntimeStats` /
 /// `PipelineStats` lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryStats {

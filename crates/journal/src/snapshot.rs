@@ -14,7 +14,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use arb_engine::{EngineCheckpoint, PoolSlot, RuntimeCheckpoint};
+use arb_engine::{PoolSlot, RuntimeCheckpoint};
 use arb_graph::Cycle;
 
 use crate::crc::crc32;
@@ -25,7 +25,9 @@ const MAGIC: &[u8; 8] = b"ARBSNAP1";
 // snapshot taken through the ingestion front-end is self-contained:
 // restoring it needs no live price feed. Version 3 holds one engine in
 // place of the shard-count cap, pool owners and per-shard engines.
-const VERSION: u32 = 3;
+// Version 4 drops the standing revision: a restored runtime restarts it
+// at 0 and never read the stored value.
+const VERSION: u32 = 4;
 const PREFIX: &str = "snapshot-";
 const SUFFIX: &str = ".ckpt";
 
@@ -44,41 +46,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_engine(out: &mut Vec<u8>, engine: &EngineCheckpoint) {
-    put_u64(out, engine.min_cycle_len as u64);
-    put_u64(out, engine.max_cycle_len as u64);
-    put_u64(out, engine.slots.len() as u64);
-    for slot in &engine.slots {
-        put_u32(out, slot.token_a);
-        put_u32(out, slot.token_b);
-        put_u64(out, slot.reserve_a.to_bits());
-        put_u64(out, slot.reserve_b.to_bits());
-        put_u32(out, slot.fee_ppm);
-        out.push(u8::from(slot.live));
-    }
-    put_u64(out, engine.arena.len() as u64);
-    for entry in &engine.arena {
-        match entry {
-            None => out.push(0),
-            Some(cycle) => {
-                out.push(1);
-                put_u32(out, cycle.len() as u32);
-                for token in cycle.tokens() {
-                    put_u32(out, token.index() as u32);
-                }
-                for pool in cycle.pools() {
-                    put_u32(out, pool.index() as u32);
-                }
-            }
-        }
-    }
-    put_u64(out, engine.free.len() as u64);
-    for &slot in &engine.free {
-        put_u32(out, slot);
-    }
-    put_u64(out, engine.standing_revision);
-}
-
 /// Serializes a checkpoint (with its journal offset) into the snapshot
 /// wire format: magic, version, body, trailing CRC-32 over everything
 /// after the magic.
@@ -87,7 +54,37 @@ pub fn encode_checkpoint(offset: u64, checkpoint: &RuntimeCheckpoint) -> Vec<u8>
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
     put_u64(&mut out, offset);
-    encode_engine(&mut out, &checkpoint.engine);
+    put_u64(&mut out, checkpoint.min_cycle_len as u64);
+    put_u64(&mut out, checkpoint.max_cycle_len as u64);
+    put_u64(&mut out, checkpoint.slots.len() as u64);
+    for slot in &checkpoint.slots {
+        put_u32(&mut out, slot.token_a);
+        put_u32(&mut out, slot.token_b);
+        put_u64(&mut out, slot.reserve_a.to_bits());
+        put_u64(&mut out, slot.reserve_b.to_bits());
+        put_u32(&mut out, slot.fee_ppm);
+        out.push(u8::from(slot.live));
+    }
+    put_u64(&mut out, checkpoint.arena.len() as u64);
+    for entry in &checkpoint.arena {
+        match entry {
+            None => out.push(0),
+            Some(cycle) => {
+                out.push(1);
+                put_u32(&mut out, cycle.len() as u32);
+                for token in cycle.tokens() {
+                    put_u32(&mut out, token.index() as u32);
+                }
+                for pool in cycle.pools() {
+                    put_u32(&mut out, pool.index() as u32);
+                }
+            }
+        }
+    }
+    put_u64(&mut out, checkpoint.free.len() as u64);
+    for &slot in &checkpoint.free {
+        put_u32(&mut out, slot);
+    }
     put_u64(&mut out, checkpoint.feed.len() as u64);
     for &(token, price_bits) in &checkpoint.feed {
         put_u32(&mut out, token);
@@ -153,7 +150,36 @@ impl<'a> Decoder<'a> {
     }
 }
 
-fn decode_engine(d: &mut Decoder<'_>) -> Result<EngineCheckpoint, JournalError> {
+/// Parses and validates snapshot bytes, returning the journal offset and
+/// the checkpoint.
+///
+/// # Errors
+///
+/// Returns [`JournalError::Corrupt`] for bad magic/version, a checksum
+/// mismatch, truncation, or malformed contents.
+pub fn decode_checkpoint(data: &[u8]) -> Result<(u64, RuntimeCheckpoint), JournalError> {
+    if data.len() < MAGIC.len() + 8 || &data[..MAGIC.len()] != MAGIC {
+        return Err(JournalError::Corrupt("bad snapshot magic".to_string()));
+    }
+    let body = &data[MAGIC.len()..data.len() - 4];
+    let stored = u32::from_le_bytes(
+        data[data.len() - 4..]
+            .try_into()
+            .map_err(|_| JournalError::Corrupt("snapshot checksum truncated".to_string()))?,
+    );
+    if crc32(body) != stored {
+        return Err(JournalError::Corrupt(
+            "snapshot checksum mismatch".to_string(),
+        ));
+    }
+    let mut d = Decoder { data: body, at: 0 };
+    let version = d.u32()?;
+    if version != VERSION {
+        return Err(JournalError::Corrupt(format!(
+            "unsupported snapshot version {version}"
+        )));
+    }
+    let offset = d.u64()?;
     let min_cycle_len = d.len()?;
     let max_cycle_len = d.len()?;
     let slot_count = d.len()?;
@@ -204,47 +230,6 @@ fn decode_engine(d: &mut Decoder<'_>) -> Result<EngineCheckpoint, JournalError> 
     for _ in 0..free_len {
         free.push(d.u32()?);
     }
-    Ok(EngineCheckpoint {
-        min_cycle_len,
-        max_cycle_len,
-        slots,
-        arena,
-        free,
-        standing_revision: d.u64()?,
-    })
-}
-
-/// Parses and validates snapshot bytes, returning the journal offset and
-/// the checkpoint.
-///
-/// # Errors
-///
-/// Returns [`JournalError::Corrupt`] for bad magic/version, a checksum
-/// mismatch, truncation, or malformed contents.
-pub fn decode_checkpoint(data: &[u8]) -> Result<(u64, RuntimeCheckpoint), JournalError> {
-    if data.len() < MAGIC.len() + 8 || &data[..MAGIC.len()] != MAGIC {
-        return Err(JournalError::Corrupt("bad snapshot magic".to_string()));
-    }
-    let body = &data[MAGIC.len()..data.len() - 4];
-    let stored = u32::from_le_bytes(
-        data[data.len() - 4..]
-            .try_into()
-            .map_err(|_| JournalError::Corrupt("snapshot checksum truncated".to_string()))?,
-    );
-    if crc32(body) != stored {
-        return Err(JournalError::Corrupt(
-            "snapshot checksum mismatch".to_string(),
-        ));
-    }
-    let mut d = Decoder { data: body, at: 0 };
-    let version = d.u32()?;
-    if version != VERSION {
-        return Err(JournalError::Corrupt(format!(
-            "unsupported snapshot version {version}"
-        )));
-    }
-    let offset = d.u64()?;
-    let engine = decode_engine(&mut d)?;
     let feed_len = d.len()?;
     let mut feed = Vec::with_capacity(feed_len);
     for _ in 0..feed_len {
@@ -265,7 +250,11 @@ pub fn decode_checkpoint(data: &[u8]) -> Result<(u64, RuntimeCheckpoint), Journa
     Ok((
         offset,
         RuntimeCheckpoint {
-            engine,
+            min_cycle_len,
+            max_cycle_len,
+            slots,
+            arena,
+            free,
             feed,
             source_positions,
         },
@@ -393,5 +382,72 @@ impl SnapshotStore {
             File::open(&self.dir)?.sync_all()?;
         }
         Ok(excess)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arb_amm::fee::FeeRate;
+    use arb_amm::pool::Pool;
+    use arb_amm::token::TokenId;
+    use arb_engine::{OpportunityPipeline, ShardedRuntime};
+
+    fn checkpoint() -> RuntimeCheckpoint {
+        let t = TokenId::new;
+        let fee = FeeRate::UNISWAP_V2;
+        let pools = vec![
+            Pool::new(t(0), t(1), 100.0, 200.0, fee).unwrap(),
+            Pool::new(t(1), t(2), 300.0, 200.0, fee).unwrap(),
+            Pool::new(t(2), t(0), 200.0, 400.0, fee).unwrap(),
+        ];
+        ShardedRuntime::new(OpportunityPipeline::default(), pools, 1)
+            .unwrap()
+            .checkpoint()
+    }
+
+    /// `bytes` with its version word replaced and its CRC recomputed, so
+    /// only the version check can reject it.
+    fn with_version(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
+        let at = MAGIC.len();
+        bytes[at..at + 4].copy_from_slice(&version.to_le_bytes());
+        let end = bytes.len() - 4;
+        let crc = crc32(&bytes[MAGIC.len()..end]);
+        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn foreign_snapshot_version_is_refused_and_skipped() {
+        let checkpoint = checkpoint();
+        let current = encode_checkpoint(1, &checkpoint);
+        assert_eq!(
+            decode_checkpoint(&current).unwrap(),
+            (1, checkpoint.clone())
+        );
+
+        let foreign = with_version(encode_checkpoint(2, &checkpoint), 3);
+        match decode_checkpoint(&foreign) {
+            Err(JournalError::Corrupt(reason)) => {
+                assert!(
+                    reason.contains("unsupported snapshot version 3"),
+                    "{reason}"
+                )
+            }
+            other => panic!("a version-3 snapshot must be corrupt, got {other:?}"),
+        }
+
+        // The store's newest-valid selection skips the foreign file and
+        // falls back to the older, current-version snapshot.
+        let dir =
+            std::env::temp_dir().join(format!("arbloops-snapshot-version-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = SnapshotStore::new(&dir).unwrap();
+        store.write(1, &checkpoint).unwrap();
+        fs::write(dir.join(snapshot_file_name(2)), &foreign).unwrap();
+        assert_eq!(store.list().unwrap().len(), 2);
+        let newest = store.newest_valid(0, 2).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(newest, Some((1, checkpoint)));
     }
 }

@@ -16,8 +16,7 @@
 //!   and trade-arrival intensity, so the scenario sweeps all three.
 //! * [`scenario::Scenario`] — the materialized run: initial pools, an
 //!   initial price table, and per-tick [`scenario::TickBatch`]es ready to
-//!   feed `arb_engine::StreamingEngine::apply_events` or
-//!   `arb_engine::ShardedRuntime::apply_events`.
+//!   feed `arb_engine::ShardedRuntime::apply_events`.
 //!
 //! Universes are generated as `domains` disconnected islands (per the
 //! shared-sequencer motivation: concurrent execution domains whose pools

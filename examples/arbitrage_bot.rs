@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "runtime: {} ticks, {} events applied, {}",
         runtime.stats().ticks,
-        runtime.engine().stats().events_applied,
+        runtime.stats().events_applied,
         runtime.screen_totals()
     );
     let holdings = arbloops::bot::pnl::Ledger::holdings(

@@ -18,7 +18,7 @@
 //! | [`snapshot`] | `arb-snapshot` | paper-calibrated synthetic Uniswap snapshots |
 //! | [`convex`] | `arb-convex` | the eq. 8 convex program and its solvers |
 //! | [`strategies`] | `arb-core` | Traditional, MaxPrice, MaxMax, ConvexOpt |
-//! | [`engine`] | `arb-engine` | discovery → evaluation → ranking pipeline, streaming engine + runtime |
+//! | [`engine`] | `arb-engine` | discovery → evaluation → ranking pipeline + incremental runtime |
 //! | [`journal`] | `arb-journal` | durable event journal, engine snapshots, crash recovery |
 //! | [`ingest`] | `arb-ingest` | staged ingestion front-end: coalescing, multiplexing, backpressure |
 //! | [`workloads`] | `arb-workloads` | seeded deterministic scenario catalog (workload generator) |
@@ -102,9 +102,9 @@ pub mod prelude {
         units::{to_display, to_raw},
     };
     pub use arb_engine::{
-        ArbitrageOpportunity, EngineCheckpoint, EngineError, OpportunityPipeline, PipelineConfig,
-        PipelineReport, RankingPolicy, RuntimeCheckpoint, RuntimeReport, RuntimeStats,
-        ScreenTotals, ShardedRuntime, StreamReport, StreamStats, StreamingEngine, TickHook,
+        ArbitrageOpportunity, EngineError, OpportunityPipeline, PipelineConfig, PipelineReport,
+        RankingPolicy, RuntimeCheckpoint, RuntimeReport, RuntimeStats, ScreenTotals,
+        ShardedRuntime, TickHook,
     };
     pub use arb_graph::{Cycle, CycleId, CycleIndex, SyncOutcome, TokenGraph};
     pub use arb_ingest::{

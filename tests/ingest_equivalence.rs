@@ -20,40 +20,10 @@
 use arbloops::prelude::*;
 use arbloops::workloads::ScenarioConfig;
 
-/// Asserts merged-output equality, bit for bit, position by position.
-fn assert_reports_identical(
-    workload: &str,
-    tick: usize,
-    through_ingest: &[ArbitrageOpportunity],
-    expected: &[ArbitrageOpportunity],
-) {
-    assert_eq!(
-        through_ingest.len(),
-        expected.len(),
-        "{workload} tick {tick}: opportunity counts diverged"
-    );
-    for (position, (i, e)) in through_ingest.iter().zip(expected).enumerate() {
-        let context = format!("{workload} tick {tick} position {position}");
-        assert_eq!(i.cycle.tokens(), e.cycle.tokens(), "{context}: tokens");
-        assert_eq!(i.cycle.pools(), e.cycle.pools(), "{context}: pools");
-        assert_eq!(i.strategy, e.strategy, "{context}: strategy");
-        assert_eq!(
-            i.gross_profit.value().to_bits(),
-            e.gross_profit.value().to_bits(),
-            "{context}: gross profit"
-        );
-        assert_eq!(
-            i.net_profit.value().to_bits(),
-            e.net_profit.value().to_bits(),
-            "{context}: net profit"
-        );
-        assert_eq!(
-            i.optimal_inputs.len(),
-            e.optimal_inputs.len(),
-            "{context}: input vector shape"
-        );
-    }
-}
+#[path = "support/ranking.rs"]
+mod ranking;
+
+use ranking::assert_rankings_identical;
 
 fn small_config(seed: u64) -> ScenarioConfig {
     ScenarioConfig {
@@ -101,9 +71,8 @@ fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: Pipe
         .try_step()
         .expect("empty batch applies")
         .expect("a sealed batch was queued");
-    assert_reports_identical(
-        workload,
-        0,
+    assert_rankings_identical(
+        &format!("{workload} tick 0"),
         &cold_ingest.opportunities,
         &cold_expected.opportunities,
     );
@@ -135,9 +104,8 @@ fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: Pipe
                 .expect("batch applies")
                 .expect("one batch per tick")
         };
-        assert_reports_identical(
-            workload,
-            tick + 1,
+        assert_rankings_identical(
+            &format!("{workload} tick {}", tick + 1),
             &report.opportunities,
             &expected.opportunities,
         );
@@ -285,9 +253,8 @@ fn lagged_consumer_in_degraded_mode_converges_to_direct_final_state() {
     }
     let final_ingest = last_ingest.expect("the lagged run applied at least one batch");
 
-    assert_reports_identical(
-        "degenerate-flood/lagged",
-        scenario.ticks.len(),
+    assert_rankings_identical(
+        &format!("degenerate-flood/lagged tick {}", scenario.ticks.len()),
         &final_ingest.opportunities,
         &final_expected.opportunities,
     );

@@ -11,42 +11,16 @@
 //! replay would (the snapshot actually paid for itself) — asserted via
 //! `RecoveryStats`.
 
+#[path = "support/ranking.rs"]
+mod ranking;
 mod support;
 
 use arbloops::prelude::*;
 use arbloops::workloads::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ranking::assert_rankings_identical;
 use support::TestDir;
-
-/// Asserts ranked-output equality, bit for bit, position by position.
-fn assert_reports_identical(
-    context: &str,
-    recovered: &[ArbitrageOpportunity],
-    expected: &[ArbitrageOpportunity],
-) {
-    assert_eq!(
-        recovered.len(),
-        expected.len(),
-        "{context}: opportunity counts diverged"
-    );
-    for (position, (r, e)) in recovered.iter().zip(expected).enumerate() {
-        let context = format!("{context} position {position}");
-        assert_eq!(r.cycle.tokens(), e.cycle.tokens(), "{context}: tokens");
-        assert_eq!(r.cycle.pools(), e.cycle.pools(), "{context}: pools");
-        assert_eq!(r.strategy, e.strategy, "{context}: strategy");
-        assert_eq!(
-            r.gross_profit.value().to_bits(),
-            e.gross_profit.value().to_bits(),
-            "{context}: gross profit"
-        );
-        assert_eq!(
-            r.net_profit.value().to_bits(),
-            e.net_profit.value().to_bits(),
-            "{context}: net profit"
-        );
-    }
-}
 
 /// Journals one workload up to a seeded kill offset (checkpointing and
 /// compacting along the way), crashes, recovers, and holds recovery to
@@ -149,7 +123,7 @@ fn crash_and_recover(workload: &'static str, seed: u64) {
     let expected = oracle.apply_events(&flat, &feed).unwrap();
     let mut recovered_runtime = recovered.runtime;
     let restored = recovered_runtime.refresh(&feed).unwrap();
-    assert_reports_identical(
+    assert_rankings_identical(
         &format!("{workload} @kill {kill}"),
         &restored.opportunities,
         &expected.opportunities,
@@ -185,7 +159,7 @@ fn crash_and_recover(workload: &'static str, seed: u64) {
         consumed += events.len();
         let expected = oracle.apply_events(events, &feed).unwrap();
         let got = recovered_runtime.apply_events(events, &feed).unwrap();
-        assert_reports_identical(
+        assert_rankings_identical(
             &format!("{workload} tick {index}"),
             &got.opportunities,
             &expected.opportunities,

@@ -1,17 +1,19 @@
 //! A second set of seeded universes for the runtime's equivalence oracle.
 //!
 //! For every workload in the catalog this file replays one seeded stream
-//! (seeds 711–755) over a 40-pool universe into a single
-//! [`StreamingEngine`], a [`ShardedRuntime`], and that runtime restored
-//! from a mid-stream checkpoint, and demands bit-identical rankings after
-//! every tick (see `support/replay.rs`). The seeds differ from
+//! (seeds 711–755) over a 40-pool universe into a [`ShardedRuntime`]
+//! and that runtime restored from a mid-stream checkpoint, and demands
+//! after every tick a ranking bit-identical to a batch rescan of the
+//! runtime's graph, and the restored runtime's identical to the live
+//! one's (see `support/replay.rs`). The seeds differ from
 //! `runtime_equivalence`'s, so the two files cover ten universes between
 //! them. The test names keep the `rebalanced` form they had when the
-//! runtime sharded the universe and could rebalance it; what they check
-//! now is the live and the restored runtime against the single engine.
+//! runtime sharded the universe and could rebalance it.
 
 use arbloops::prelude::*;
 
+#[path = "support/ranking.rs"]
+mod ranking;
 #[path = "support/replay.rs"]
 mod replay;
 

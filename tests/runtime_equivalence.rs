@@ -1,16 +1,19 @@
 //! The runtime's correctness oracle.
 //!
-//! For every workload in the catalog, one [`StreamingEngine`] and one
-//! [`ShardedRuntime`] consume the **same** seeded event stream under the
-//! same drifting feed. After every tick the runtime's ranking must be
-//! **bit-identical** to the single engine's: same cycles, same winning
-//! strategies, same gross/net profits, same order. Halfway through each
-//! stream the runtime is also checkpointed and restored into a fresh
-//! runtime, which must stay bit-identical to the single engine on every
-//! later tick. The replay itself lives in `support/replay.rs`.
+//! For every workload in the catalog, a [`ShardedRuntime`] consumes a
+//! seeded event stream under a drifting feed. After every tick its
+//! ranking must be **bit-identical** to a batch
+//! [`OpportunityPipeline::run_graph`] rescan of its graph under the same
+//! feed: same cycles, same winning strategies, same gross/net profits,
+//! same order. Halfway through each stream the runtime is also
+//! checkpointed and restored into a fresh runtime, which must stay
+//! bit-identical to the uninterrupted runtime on every later tick. The
+//! replay itself lives in `support/replay.rs`.
 
 use arbloops::prelude::*;
 
+#[path = "support/ranking.rs"]
+mod ranking;
 #[path = "support/replay.rs"]
 mod replay;
 
@@ -61,7 +64,7 @@ fn degenerate_flood_is_bit_identical() {
 
 #[test]
 fn top_k_cut_is_bit_identical() {
-    // The runtime must reproduce the engine's top-k cut exactly.
+    // The runtime must reproduce the batch pipeline's top-k cut exactly.
     let config = PipelineConfig {
         top_k: Some(3),
         ..PipelineConfig::default()

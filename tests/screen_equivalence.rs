@@ -1,18 +1,17 @@
 //! The profitability screen's correctness oracle.
 //!
-//! For every workload in the catalog, three consumers replay the **same**
+//! For every workload in the catalog, two runtimes replay the **same**
 //! seeded event stream under the same drifting feed:
 //!
-//! * a screened [`StreamingEngine`] (`PipelineConfig::screen = true`,
+//! * a screened [`ShardedRuntime`] (`PipelineConfig::screen = true`,
 //!   the default) — log-sum screen, floor screen, scratch-arena fan-out;
-//! * an unscreened engine (`screen = false`) — the pre-screen behavior,
-//!   every dirty cycle fully prepared and evaluated;
-//! * a screened [`ShardedRuntime`], the runtime the live layers drive.
+//! * an unscreened runtime (`screen = false`) — the pre-screen behavior,
+//!   every dirty cycle fully prepared and evaluated.
 //!
-//! After every tick all rankings must be **bit-identical**: the screen
+//! After every tick both rankings must be **bit-identical**: the screen
 //! is an optimization, never an approximation — a screened-out cycle is
 //! exactly one the full evaluation would have dropped. Mid-stream, the
-//! screened engine is checkpointed and restored, and the restored copy
+//! screened runtime is checkpointed and restored, and the restored copy
 //! (whose log-sums are rebuilt deterministically, not round-tripped)
 //! must agree with the live one for the rest of the stream. Floor-config
 //! variants exercise the feed-priced profit-bound screen the same way.
@@ -20,36 +19,13 @@
 use arbloops::prelude::*;
 use arbloops::workloads::ScenarioConfig;
 
-fn assert_identical(
-    context: &str,
-    actual: &[ArbitrageOpportunity],
-    expected: &[ArbitrageOpportunity],
-) {
-    assert_eq!(
-        actual.len(),
-        expected.len(),
-        "{context}: opportunity counts diverged"
-    );
-    for (position, (a, e)) in actual.iter().zip(expected).enumerate() {
-        let context = format!("{context} position {position}");
-        assert_eq!(a.cycle.tokens(), e.cycle.tokens(), "{context}: tokens");
-        assert_eq!(a.cycle.pools(), e.cycle.pools(), "{context}: pools");
-        assert_eq!(a.strategy, e.strategy, "{context}: strategy");
-        assert_eq!(
-            a.gross_profit.value().to_bits(),
-            e.gross_profit.value().to_bits(),
-            "{context}: gross profit"
-        );
-        assert_eq!(
-            a.net_profit.value().to_bits(),
-            e.net_profit.value().to_bits(),
-            "{context}: net profit"
-        );
-    }
-}
+#[path = "support/ranking.rs"]
+mod ranking;
 
-/// Replays one workload into the three consumers (plus, from mid-stream,
-/// a restored copy), comparing after every tick.
+use ranking::assert_rankings_identical;
+
+/// Replays one workload into both runtimes (plus, from mid-stream, a
+/// restored copy), comparing after every tick.
 fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: PipelineConfig) {
     assert!(pipeline_config.screen, "the oracle screens by default");
     let spec = arbloops::workloads::find(workload).expect("workload in catalog");
@@ -60,36 +36,26 @@ fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: Pipe
         ..pipeline_config
     };
 
-    let mut screened = StreamingEngine::new(
-        OpportunityPipeline::new(pipeline_config),
-        scenario.pools.clone(),
-    )
-    .expect("screened engine");
-    let mut unscreened = StreamingEngine::new(
-        OpportunityPipeline::new(unscreened_config),
-        scenario.pools.clone(),
-    )
-    .expect("unscreened engine");
-    let mut runtime = ShardedRuntime::new(
+    let mut screened = ShardedRuntime::new(
         OpportunityPipeline::new(pipeline_config),
         scenario.pools.clone(),
         1,
     )
-    .expect("runtime");
-    let mut restored: Option<StreamingEngine> = None;
+    .expect("screened runtime");
+    let mut unscreened = ShardedRuntime::new(
+        OpportunityPipeline::new(unscreened_config),
+        scenario.pools.clone(),
+        1,
+    )
+    .expect("unscreened runtime");
+    let mut restored: Option<ShardedRuntime> = None;
     let restore_at = scenario.ticks.len() / 2;
 
     let cold_expected = unscreened.refresh(&feed).expect("unscreened cold start");
     let cold_screened = screened.refresh(&feed).expect("screened cold start");
-    let cold_runtime = runtime.refresh(&feed).expect("runtime cold start");
-    assert_identical(
+    assert_rankings_identical(
         &format!("{workload} cold start (screened)"),
         &cold_screened.opportunities,
-        &cold_expected.opportunities,
-    );
-    assert_identical(
-        &format!("{workload} cold start (runtime)"),
-        &cold_runtime.opportunities,
         &cold_expected.opportunities,
     );
 
@@ -102,45 +68,37 @@ fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: Pipe
         let got = screened
             .apply_events(&batch.events, &feed)
             .expect("screened tick");
-        let ranked = runtime
-            .apply_events(&batch.events, &feed)
-            .expect("runtime tick");
-        assert_identical(
+        assert_rankings_identical(
             &format!("{workload} tick {tick} (screened)"),
             &got.opportunities,
             &expected.opportunities,
         );
-        assert_identical(
-            &format!("{workload} tick {tick} (runtime)"),
-            &ranked.opportunities,
-            &expected.opportunities,
-        );
-        if let Some(engine) = restored.as_mut() {
-            let back = engine
+        if let Some(runtime) = restored.as_mut() {
+            let back = runtime
                 .apply_events(&batch.events, &feed)
                 .expect("restored tick");
-            assert_identical(
+            assert_rankings_identical(
                 &format!("{workload} tick {tick} (restored)"),
                 &back.opportunities,
                 &expected.opportunities,
             );
         }
         if tick + 1 == restore_at {
-            // Checkpoint the screened engine mid-stream; the restored
+            // Checkpoint the screened runtime mid-stream; the restored
             // copy rebuilds its log-sums deterministically from the
-            // restored graph and must track the live engine (and the
+            // restored graph and must track the live runtime (and the
             // unscreened oracle) for every remaining tick.
             let checkpoint = screened.checkpoint();
-            let mut engine =
-                StreamingEngine::restore(OpportunityPipeline::new(pipeline_config), &checkpoint)
+            let mut runtime =
+                ShardedRuntime::restore(OpportunityPipeline::new(pipeline_config), &checkpoint)
                     .expect("restore");
-            let report = engine.refresh(&feed).expect("post-restore refresh");
-            assert_identical(
+            let report = runtime.refresh(&feed).expect("post-restore refresh");
+            assert_rankings_identical(
                 &format!("{workload} post-restore refresh"),
                 &report.opportunities,
                 &expected.opportunities,
             );
-            restored = Some(engine);
+            restored = Some(runtime);
         }
         if !expected.opportunities.is_empty() {
             nonempty_ticks += 1;

@@ -9,15 +9,16 @@
 //! * **monotonically non-decreasing revisions** — a reader never
 //!   travels back in time;
 //! * **bit-identical rankings** — at every revision, the published
-//!   entries match the single-engine oracle fingerprint recorded for
+//!   entries match the oracle fingerprint recorded for
 //!   that revision before it was swapped in, and every point query
 //!   (`top_k`, `by_token`, `by_pool`, `min_net_profit`) agrees with a
 //!   brute-force scan of those entries.
 //!
-//! The writer drives the runtime tick by tick, checks it
-//! against a single [`StreamingEngine`], records the fingerprint the
-//! next serve revision must carry, and only then publishes — so any
-//! reader observing revision `r` can demand the recorded fingerprint.
+//! The writer drives the runtime tick by tick, checks it against a
+//! second, unpublished [`ShardedRuntime`] fed the same stream, records
+//! the fingerprint the next serve revision must carry, and only then
+//! publishes — so any reader observing revision `r` can demand the
+//! recorded fingerprint.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -199,15 +200,16 @@ fn race(workload: &'static str, seed: u64) {
         })
         .collect();
 
-    // Writer: tick the runtime, verify against the
-    // single-engine oracle, record the fingerprint, publish.
+    // Writer: tick the runtime, verify against the unpublished
+    // reference runtime, record the fingerprint, publish.
     let mut feed = scenario.feed.clone();
-    let mut single = StreamingEngine::new(OpportunityPipeline::default(), scenario.pools.clone())
-        .expect("single engine");
+    let mut reference =
+        ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 1)
+            .expect("reference runtime");
     let mut runtime =
         ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 1)
             .expect("runtime");
-    single.refresh(&feed).expect("single cold start");
+    reference.refresh(&feed).expect("reference cold start");
     let mut last_source = None;
     let mut publish =
         |runtime: &ShardedRuntime, publisher: &mut Publisher, ranked: &[ArbitrageOpportunity]| {
@@ -225,16 +227,16 @@ fn race(workload: &'static str, seed: u64) {
     publish(&runtime, &mut publisher, &cold.opportunities);
     for (tick, batch) in scenario.ticks.iter().enumerate() {
         batch.apply_feed(&mut feed);
-        let expected = single
+        let expected = reference
             .apply_events(&batch.events, &feed)
-            .expect("single tick");
+            .expect("reference tick");
         let merged = runtime
             .apply_events(&batch.events, &feed)
             .expect("runtime tick");
         assert_eq!(
             fingerprint(&merged.opportunities),
             fingerprint(&expected.opportunities),
-            "{workload} tick {tick}: runtime ranking diverged from the single engine"
+            "{workload} tick {tick}: runtime ranking diverged from the reference runtime"
         );
         publish(&runtime, &mut publisher, &merged.opportunities);
     }

@@ -1,7 +1,7 @@
-//! The streaming engine's correctness oracle.
+//! The incremental runtime's correctness oracle.
 //!
 //! After *any* sequence of chain events — swaps, liquidity churn, new
-//! pools — the [`StreamingEngine`]'s standing opportunity set must be
+//! pools — the [`ShardedRuntime`]'s standing opportunity set must be
 //! **bit-identical** to a fresh [`OpportunityPipeline`] run on the
 //! resulting state under the same price feed: same cycles, same winning
 //! strategies, same gross/net profits. The incremental path is an
@@ -11,14 +11,18 @@ use arbloops::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Asserts ranked-output equality between the streaming engine and a
-/// from-scratch batch run on the engine's live pool set.
-fn assert_stream_equals_batch(engine: &StreamingEngine, feed: &PriceTable) {
+/// Asserts ranked-output equality between the runtime's ranking and a
+/// from-scratch batch run (default config) on the runtime's live pool
+/// set.
+fn assert_stream_equals_batch(
+    engine: &ShardedRuntime,
+    streamed: &[ArbitrageOpportunity],
+    feed: &PriceTable,
+) {
     let pools: Vec<Pool> = engine.graph().live_pools().map(|(_, p)| *p).collect();
-    let fresh = OpportunityPipeline::new(*engine.pipeline().config())
+    let fresh = OpportunityPipeline::new(PipelineConfig::default())
         .run(pools, feed)
         .expect("batch oracle");
-    let streamed = engine.ranked();
     assert_eq!(
         streamed.len(),
         fresh.opportunities.len(),
@@ -43,9 +47,9 @@ fn assert_stream_equals_batch(engine: &StreamingEngine, feed: &PriceTable) {
     }
 }
 
-/// The engine's graph must also mirror the chain's pool reserves exactly
+/// The runtime's graph must also mirror the chain's pool reserves exactly
 /// (same `to_display` of the same raw words).
-fn assert_graph_mirrors_chain(engine: &StreamingEngine, chain: &Chain) {
+fn assert_graph_mirrors_chain(engine: &ShardedRuntime, chain: &Chain) {
     assert_eq!(engine.graph().pool_count(), chain.state().pool_count());
     for (i, on_chain) in chain.state().pools().iter().enumerate() {
         let mirrored = &engine.graph().pools()[i];
@@ -103,10 +107,10 @@ fn arbitrary_event_sequences_match_full_pipeline_runs() {
         .iter()
         .map(|p| p.to_analysis_pool().expect("representable"))
         .collect();
-    let mut engine = StreamingEngine::new(engine_pipeline, pools).expect("engine");
+    let mut engine = ShardedRuntime::new(engine_pipeline, pools, 1).expect("engine");
     let mut cursor = chain.subscribe();
-    engine.refresh(&feed).expect("cold start");
-    assert_stream_equals_batch(&engine, &feed);
+    let cold = engine.refresh(&feed).expect("cold start");
+    assert_stream_equals_batch(&engine, &cold.opportunities, &feed);
 
     for round in 0..12 {
         // A burst of random swaps against random pools.
@@ -146,9 +150,9 @@ fn arbitrary_event_sequences_match_full_pipeline_runs() {
         chain.mine_block();
 
         let events = chain.drain_events(&mut cursor);
-        engine.apply_events(&events, &feed).expect("apply batch");
+        let report = engine.apply_events(&events, &feed).expect("apply batch");
         assert_graph_mirrors_chain(&engine, &chain);
-        assert_stream_equals_batch(&engine, &feed);
+        assert_stream_equals_batch(&engine, &report.opportunities, &feed);
     }
 
     let stats = engine.stats();
@@ -173,9 +177,12 @@ fn equivalence_survives_feed_moves_without_manual_dirtying() {
         .iter()
         .map(|p| p.to_analysis_pool().expect("representable"))
         .collect();
-    let mut engine =
-        StreamingEngine::new(OpportunityPipeline::new(PipelineConfig::default()), pools)
-            .expect("engine");
+    let mut engine = ShardedRuntime::new(
+        OpportunityPipeline::new(PipelineConfig::default()),
+        pools,
+        1,
+    )
+    .expect("engine");
     let mut cursor = chain.subscribe();
     engine.refresh(&feed).expect("cold start");
 
@@ -199,7 +206,7 @@ fn equivalence_survives_feed_moves_without_manual_dirtying() {
             feed.set(t, price * rng.gen_range(0.98f64..1.02));
         }
         let events = chain.drain_events(&mut cursor);
-        engine.apply_events(&events, &feed).expect("apply");
-        assert_stream_equals_batch(&engine, &feed);
+        let report = engine.apply_events(&events, &feed).expect("apply");
+        assert_stream_equals_batch(&engine, &report.opportunities, &feed);
     }
 }

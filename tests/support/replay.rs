@@ -1,63 +1,34 @@
 //! The replay oracle shared by the runtime equivalence suites.
 //!
-//! [`replay`] feeds one seeded catalog workload to a single
-//! [`StreamingEngine`] and to a [`ShardedRuntime`] under the same drifting
-//! feed, and demands bit-identical rankings after every tick. Halfway
-//! through the stream the runtime is checkpointed and restored into a
-//! fresh runtime, which must match the single engine on every later tick.
+//! [`replay`] feeds one seeded catalog workload to a [`ShardedRuntime`]
+//! under a drifting feed and, after every tick, demands a ranking
+//! bit-identical to a batch [`OpportunityPipeline::run_graph`] over the
+//! runtime's graph under the same feed — a full rescan that shares none
+//! of the incremental state. Halfway through the stream the runtime is
+//! checkpointed and restored into a fresh runtime, which must match the
+//! uninterrupted runtime on every later tick.
 
 use arbloops::prelude::*;
 use arbloops::workloads::ScenarioConfig;
 
-/// Asserts merged-output equality, bit for bit, position by position.
-pub fn assert_reports_identical(
-    workload: &str,
-    tick: usize,
-    merged: &[ArbitrageOpportunity],
-    expected: &[ArbitrageOpportunity],
-) {
-    assert_eq!(
-        merged.len(),
-        expected.len(),
-        "{workload} tick {tick}: opportunity counts diverged"
-    );
-    for (position, (m, e)) in merged.iter().zip(expected).enumerate() {
-        let context = format!("{workload} tick {tick} position {position}");
-        assert_eq!(m.cycle.tokens(), e.cycle.tokens(), "{context}: tokens");
-        assert_eq!(m.cycle.pools(), e.cycle.pools(), "{context}: pools");
-        assert_eq!(m.strategy, e.strategy, "{context}: strategy");
-        assert_eq!(
-            m.gross_profit.value().to_bits(),
-            e.gross_profit.value().to_bits(),
-            "{context}: gross profit"
-        );
-        assert_eq!(
-            m.net_profit.value().to_bits(),
-            e.net_profit.value().to_bits(),
-            "{context}: net profit"
-        );
-        assert_eq!(
-            m.optimal_inputs.len(),
-            e.optimal_inputs.len(),
-            "{context}: input vector shape"
-        );
-    }
-}
+use crate::ranking::assert_rankings_identical;
 
-/// Replays one workload into both engines, comparing after every tick,
-/// and from mid-stream on into a runtime restored from the runtime's
-/// checkpoint.
+/// Replays one workload into a runtime, comparing it with a batch rescan
+/// after every tick, and from mid-stream on into a runtime restored from
+/// its checkpoint, compared with the uninterrupted runtime.
 pub fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: PipelineConfig) {
     let spec = arbloops::workloads::find(workload).expect("workload in catalog");
     let scenario = spec.scenario(config).expect("scenario generates");
     let mut feed = scenario.feed.clone();
     let halfway = scenario.ticks.len() / 2;
 
-    let mut single = StreamingEngine::new(
-        OpportunityPipeline::new(pipeline_config),
-        scenario.pools.clone(),
-    )
-    .expect("single engine");
+    let reference = OpportunityPipeline::new(pipeline_config);
+    let rescan = |runtime: &ShardedRuntime, feed: &PriceTable| {
+        reference
+            .run_graph(runtime.graph(), feed)
+            .expect("batch rescan")
+            .opportunities
+    };
     let mut runtime = ShardedRuntime::new(
         OpportunityPipeline::new(pipeline_config),
         scenario.pools.clone(),
@@ -66,13 +37,11 @@ pub fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: 
     .expect("runtime");
 
     // Cold start.
-    let cold_single = single.refresh(&feed).expect("single cold start");
-    let cold_merged = runtime.refresh(&feed).expect("runtime cold start");
-    assert_reports_identical(
-        workload,
-        0,
-        &cold_merged.opportunities,
-        &cold_single.opportunities,
+    let cold = runtime.refresh(&feed).expect("runtime cold start");
+    assert_rankings_identical(
+        &format!("{workload} tick 0"),
+        &cold.opportunities,
+        &rescan(&runtime, &feed),
     );
 
     let mut restored: Option<ShardedRuntime> = None;
@@ -86,27 +55,22 @@ pub fn replay(workload: &'static str, config: &ScenarioConfig, pipeline_config: 
             );
         }
         batch.apply_feed(&mut feed);
-        let expected = single
-            .apply_events(&batch.events, &feed)
-            .expect("single engine tick");
         let merged = runtime
             .apply_events(&batch.events, &feed)
             .expect("runtime tick");
-        assert_reports_identical(
-            workload,
-            tick + 1,
+        assert_rankings_identical(
+            &format!("{workload} tick {}", tick + 1),
             &merged.opportunities,
-            &expected.opportunities,
+            &rescan(&runtime, &feed),
         );
         if let Some(restored) = restored.as_mut() {
             let back = restored
                 .apply_events(&batch.events, &feed)
                 .expect("restored runtime tick");
-            assert_reports_identical(
-                &format!("{workload} (restored)"),
-                tick + 1,
+            assert_rankings_identical(
+                &format!("{workload} (restored) tick {}", tick + 1),
                 &back.opportunities,
-                &expected.opportunities,
+                &merged.opportunities,
             );
         }
         if !merged.opportunities.is_empty() {

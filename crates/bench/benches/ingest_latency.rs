@@ -21,9 +21,10 @@
 //!    drained every tick. The measured latency spans `seal_block` (which
 //!    journals the raw batch) through the driver's applied report — the
 //!    full events-in → ranking-updated path;
-//! 3. **lagged ingest** — capacity-1 queue, `CoalesceHarder`, drained
-//!    every fourth tick: the degraded mode, where cross-tick merging
-//!    must bound both queue depth and the engine's applied-event count.
+//! 3. **lagged ingest** — capacity-1 queue, drained every eighth tick:
+//!    the degraded mode, where seals against the full queue merge into
+//!    its tail, and cross-tick merging must bound both queue depth and
+//!    the engine's applied-event count.
 //!
 //! The pass **asserts** final-ranking bit-identity for both ingest legs
 //! against the direct leg, and that the lagged leg on `degenerate-flood`
@@ -37,7 +38,7 @@ use std::time::Instant;
 use arb_bench::json::JsonLine;
 use arb_bench::percentile_ns;
 use arb_engine::{OpportunityPipeline, PipelineConfig, RuntimeReport, ShardedRuntime};
-use arb_ingest::{IngestConfig, IngestDriver, Ingestor, LagPolicy};
+use arb_ingest::{IngestConfig, IngestDriver, Ingestor};
 use arb_journal::{JournalConfig, JournalWriter};
 use arb_workloads::{find, Scenario, ScenarioConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -191,14 +192,12 @@ struct LaggedLeg {
     engine_applied: u64,
 }
 
-/// The degraded-mode leg: capacity 1 + `CoalesceHarder`, consumer four
-/// ticks behind. No journal — this leg isolates what cross-tick merging
+/// The degraded-mode leg: capacity 1, consumer `DRAIN_EVERY` ticks
+/// behind. No journal — this leg isolates what cross-tick merging
 /// saves the engine.
 fn run_lagged(scenario: &Scenario) -> LaggedLeg {
     let mut ingestor = Ingestor::new(IngestConfig {
         queue_capacity: 1,
-        lag_policy: LagPolicy::CoalesceHarder,
-        coalesce: true,
         ..IngestConfig::default()
     });
     let feed_source = ingestor.register_source("cex-feed");
@@ -221,7 +220,6 @@ fn run_lagged(scenario: &Scenario) -> LaggedLeg {
             }
         }
     }
-    ingestor.close();
     if let Some(r) = driver.drain().expect("tail applies") {
         report = Some(r);
     }

@@ -335,7 +335,7 @@ impl ArbBot {
         self.view.driver.feed()
     }
 
-    /// Front-end counters (coalescing, queue depth, stalls).
+    /// Front-end counters (coalescing, queue depth, degraded merges).
     pub fn ingest_stats(&self) -> IngestStats {
         self.view.ingestor.stats()
     }

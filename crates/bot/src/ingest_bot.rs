@@ -209,14 +209,7 @@ impl ArbBot {
         let recovered =
             Recovery::new(&settings.dir, pipeline_for(&config), 1).recover_journaled()?;
 
-        // Reconstruct per-source positions: the snapshot's recorded
-        // counts (zeros on the genesis path) plus everything the replay
-        // consumed on each source.
-        let snapshot_positions = &recovered.source_positions;
-        let feed_position = snapshot_positions.first().copied().unwrap_or(0)
-            + recovered.feed_events_replayed as u64;
-        let chain_position = snapshot_positions.get(1).copied().unwrap_or(0)
-            + (recovered.genesis_bootstrap_events + recovered.chain_events_replayed) as u64;
+        let [_, chain_position] = recovered.source_positions;
 
         let mut view = MarketView::new(
             Ingestor::new(ingest).with_journal(writer.clone()),
@@ -225,7 +218,7 @@ impl ArbBot {
             EventCursor::at(chain_position as usize),
         );
         view.ingestor
-            .restore_positions(&[feed_position, chain_position])?;
+            .restore_positions(&recovered.source_positions)?;
         // Catch up on blocks mined while the bot was down: journal and
         // apply them now so the first step sees a current runtime.
         let missed = chain.drain_events(&mut view.cursor);

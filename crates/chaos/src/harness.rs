@@ -28,7 +28,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use arb_amm::token::TokenId;
 use arb_cex::feed::PriceTable;
@@ -36,9 +36,7 @@ use arb_dexsim::events::Event;
 use arb_engine::{
     ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, RuntimeReport, ShardedRuntime,
 };
-use arb_ingest::{
-    IngestConfig, IngestDriver, IngestError, IngestStats, Ingestor, LagPolicy, SourceId,
-};
+use arb_ingest::{IngestConfig, IngestDriver, IngestStats, Ingestor, SourceId};
 use arb_journal::{JournalConfig, JournalError, JournalWriter, Recovery, SnapshotStore};
 use arb_obs::Obs;
 use arb_workloads::{Scenario, ScenarioConfig, WorkloadSpec};
@@ -356,16 +354,6 @@ struct SoakRig<'a> {
 }
 
 impl<'a> SoakRig<'a> {
-    fn ingest_config() -> IngestConfig {
-        IngestConfig {
-            queue_capacity: 8,
-            lag_policy: LagPolicy::BlockSource,
-            coalesce: true,
-            max_stall: Some(Duration::from_millis(50)),
-            ..IngestConfig::default()
-        }
-    }
-
     fn build(
         scenario: &'a Scenario,
         config: &'a SoakConfig,
@@ -379,7 +367,7 @@ impl<'a> SoakRig<'a> {
         let writer = Arc::new(Mutex::new(writer));
         let store = SnapshotStore::new(&config.dir)?;
 
-        let mut ingestor = Ingestor::new(Self::ingest_config()).with_journal(Arc::clone(&writer));
+        let mut ingestor = Ingestor::new(IngestConfig::default()).with_journal(Arc::clone(&writer));
         let feed_source = ingestor.register_source("feed");
         let chain_source = ingestor.register_source("chain");
         if let Some(obs) = obs {
@@ -431,12 +419,7 @@ impl<'a> SoakRig<'a> {
     /// fire-once latch guarantees the retry can pass).
     fn seal_and_drain(&mut self) -> Result<(), ChaosError> {
         loop {
-            match self.ingestor.seal_block() {
-                // A stall timeout merged the block into the queue tail;
-                // nothing is lost and the drain below clears the queue.
-                Ok(_) | Err(IngestError::StallTimeout { .. }) => {}
-                Err(error) => return Err(error.into()),
-            }
+            self.ingestor.seal_block()?;
             match panic::catch_unwind(AssertUnwindSafe(|| self.driver.drain())) {
                 Ok(Ok(report)) => {
                     if let Some(report) = report {
@@ -490,16 +473,13 @@ impl<'a> SoakRig<'a> {
         let recovered = Recovery::new(&self.config.dir, self.pipeline.clone(), 1)
             .with_genesis_pools(self.scenario.pools.clone())
             .recover_journaled()?;
-        let feed_pos = recovered.source_positions.first().copied().unwrap_or(0)
-            + recovered.feed_events_replayed as u64;
-        let chain_pos = recovered.source_positions.get(1).copied().unwrap_or(0)
-            + (recovered.genesis_bootstrap_events + recovered.chain_events_replayed) as u64;
+        let [feed_pos, chain_pos] = recovered.source_positions;
 
         let mut ingestor =
-            Ingestor::new(Self::ingest_config()).with_journal(Arc::clone(&self.writer));
+            Ingestor::new(IngestConfig::default()).with_journal(Arc::clone(&self.writer));
         let feed_source = ingestor.register_source("feed");
         let chain_source = ingestor.register_source("chain");
-        ingestor.restore_positions(&[feed_pos, chain_pos])?;
+        ingestor.restore_positions(&recovered.source_positions)?;
         if let Some(obs) = &self.obs {
             ingestor.set_obs(obs);
         }

@@ -100,27 +100,13 @@ impl IngestDriver {
     }
 
     /// Applies the next queued batch if one is ready. `Ok(None)` means
-    /// the queue was empty (closed or not — check
-    /// [`IngestHandle::is_closed`] to tell the cases apart).
+    /// the queue was empty.
     ///
     /// # Errors
     ///
     /// [`IngestError::Engine`] when the runtime rejects the batch.
     pub fn try_step(&mut self) -> Result<Option<RuntimeReport>, IngestError> {
         match self.handle.try_pop() {
-            Some(batch) => self.apply(batch).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Blocks for the next batch and applies it; `Ok(None)` once the
-    /// stream is closed and fully drained.
-    ///
-    /// # Errors
-    ///
-    /// As [`IngestDriver::try_step`].
-    pub fn step_blocking(&mut self) -> Result<Option<RuntimeReport>, IngestError> {
-        match self.handle.pop_blocking() {
             Some(batch) => self.apply(batch).map(Some),
             None => Ok(None),
         }

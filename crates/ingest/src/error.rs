@@ -7,21 +7,8 @@ use std::fmt;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum IngestError {
-    /// The stream was closed; no further blocks can be sealed or
-    /// consumed.
-    Closed,
     /// An [`crate::SourceId`] that this ingestor never registered.
     UnknownSource(usize),
-    /// Under [`crate::LagPolicy::BlockSource`] with a configured
-    /// `max_stall`, the consumer failed to free queue space before the
-    /// watchdog fired. This is a backpressure signal, not data loss:
-    /// the sealed block was merged into the queue tail (degraded
-    /// coalescing) before returning, so no events were dropped.
-    StallTimeout {
-        /// How long the producer waited before giving up, in
-        /// nanoseconds.
-        waited_nanos: u64,
-    },
     /// Journaling the multiplexed stream failed.
     Journal(arb_journal::JournalError),
     /// Applying a consumed batch to the runtime failed.
@@ -31,16 +18,9 @@ pub enum IngestError {
 impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IngestError::Closed => write!(f, "ingest stream is closed"),
             IngestError::UnknownSource(index) => {
                 write!(f, "unknown ingest source index {index}")
             }
-            IngestError::StallTimeout { waited_nanos } => write!(
-                f,
-                "ingest consumer stalled past the watchdog: waited {:.3}ms \
-                 for queue space (sealed block merged into the tail)",
-                *waited_nanos as f64 / 1e6
-            ),
             IngestError::Journal(e) => write!(f, "ingest journal error: {e}"),
             IngestError::Engine(e) => write!(f, "ingest engine error: {e}"),
         }
@@ -52,7 +32,7 @@ impl Error for IngestError {
         match self {
             IngestError::Journal(e) => Some(e),
             IngestError::Engine(e) => Some(e),
-            _ => None,
+            IngestError::UnknownSource(_) => None,
         }
     }
 }

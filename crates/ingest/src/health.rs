@@ -220,9 +220,9 @@ impl HealthMonitor {
         }
     }
 
-    /// An attempt at `now` failed outright (journal commit error,
-    /// consumer stall timeout). Demotes immediately — an explicit
-    /// failure is stronger evidence than silence.
+    /// An attempt at `now` failed outright (a journal commit error).
+    /// Demotes immediately — an explicit failure is stronger evidence
+    /// than silence.
     pub fn record_failure(&mut self, now: u64) {
         self.failure_streak = self.failure_streak.saturating_add(1);
         self.progress_streak = 0;

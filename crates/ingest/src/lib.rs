@@ -16,8 +16,8 @@
 //!                                      coalesce (LWW per pool/token,
 //!                                       PoolCreated = barrier)
 //!                                          │
-//!                               bounded queue (lag policy:
-//!                               block source / coalesce harder)
+//!                               bounded queue (full: merge
+//!                               into the tail, re-coalesce)
 //!                                          │
 //!  IngestHandle ──pop──▶ IngestDriver ──▶ ShardedRuntime + PriceTable
 //!                                          │
@@ -37,13 +37,13 @@
 //!   last-write-wins over absolute reserves (see the module docs of
 //!   [`mod@crate::coalesce`] for the commutation argument, and the
 //!   crate's proptests for the proof harness).
-//! * **Backpressure** ([`IngestConfig`]) — the producer/consumer
-//!   boundary is a bounded queue with an explicit [`LagPolicy`]: block
-//!   the source, or degrade by merging new blocks into the queue tail
-//!   and coalescing across them. Either way nothing is dropped and
-//!   per-source order is preserved. [`IngestStats`] surfaces events
-//!   in/out, the coalesce ratio, queue depth high-water, and producer
-//!   stall time.
+//! * **Bounded queue** ([`IngestConfig::queue_capacity`]) — a seal
+//!   never waits on the consumer: when the consumer has fallen
+//!   `queue_capacity` batches behind, the new block merges into the
+//!   queue tail and the merged events re-coalesce.
+//!   Nothing is dropped and per-source order is preserved.
+//!   [`IngestStats`] surfaces events in/out, the coalesce ratio, queue
+//!   depth high-water, and the count of such degraded merges.
 //!
 //! [`IngestDriver`] is the consumer half: it pops sealed batches,
 //! routes feed updates into its [`arb_cex::feed::PriceTable`], applies
@@ -57,9 +57,8 @@
 //! (Healthy → Lagging → Quarantined → Recovered). A journal commit
 //! failure no longer aborts the seal: the batch stays pending, serving
 //! continues journal-degraded, and later seals retry under bounded
-//! backoff. [`IngestConfig::max_stall`] bounds the
-//! [`LagPolicy::BlockSource`] stall with a watchdog that degrades into
-//! tail-merging instead of parking forever.
+//! backoff. A seal that finds the queue full records the consumer site
+//! as idle.
 
 pub mod coalesce;
 pub mod driver;
@@ -74,5 +73,5 @@ pub use driver::IngestDriver;
 pub use error::IngestError;
 pub use health::{HealthConfig, HealthMonitor, HealthState};
 pub use queue::IngestBatch;
-pub use source::{IngestConfig, IngestHandle, Ingestor, LagPolicy, SourceId};
+pub use source::{IngestConfig, IngestHandle, Ingestor, SourceId};
 pub use stats::IngestStats;

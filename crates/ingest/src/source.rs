@@ -1,7 +1,7 @@
 //! The producer half: source registration, multiplexing, sealing.
 
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use arb_amm::token::TokenId;
 use arb_dexsim::events::Event;
@@ -11,7 +11,7 @@ use arb_obs::{Obs, SpanTimer};
 use crate::coalesce::coalesce;
 use crate::error::IngestError;
 use crate::health::{HealthConfig, HealthMonitor, HealthState};
-use crate::queue::{IngestBatch, QueueState, Shared, WaitOutcome};
+use crate::queue::{IngestBatch, Shared};
 use crate::stats::{IngestStats, StatsMirror};
 
 /// Pre-resolved span timers over the sealing pipeline, one per stage
@@ -38,39 +38,13 @@ impl SourceId {
     }
 }
 
-/// What the producer does when the consumer lags and the queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LagPolicy {
-    /// Block [`Ingestor::seal_block`] until the consumer frees a slot;
-    /// the stall time is surfaced in [`IngestStats::stall_nanos`]. The
-    /// source sees backpressure, the engine sees every block.
-    #[default]
-    BlockSource,
-    /// Degraded mode: merge the new block into the newest queued batch
-    /// and coalesce across them, so the queue depth stays bounded while
-    /// the per-batch coalescing works harder. The source never blocks;
-    /// the engine sees fewer, denser batches.
-    CoalesceHarder,
-}
-
 /// Front-end tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
-    /// Queue bound, in sealed batches (minimum 1).
+    /// Queue bound, in sealed batches (minimum 1). A seal against a
+    /// full queue merges its block into the newest queued batch instead
+    /// of growing the queue (see [`Ingestor::seal_block`]).
     pub queue_capacity: usize,
-    /// Full-queue behavior.
-    pub lag_policy: LagPolicy,
-    /// Per-block last-write-wins coalescing ([`coalesce`]). Disable to
-    /// deliver the raw multiplexed stream (the journal always records
-    /// raw either way).
-    pub coalesce: bool,
-    /// Watchdog for [`LagPolicy::BlockSource`]: give up after this much
-    /// blocked waiting, merge the sealed block into the queue tail
-    /// (degraded coalescing, no data loss), and surface
-    /// [`IngestError::StallTimeout`] plus a consumer health transition.
-    /// `None` (the default) preserves the original block-forever
-    /// behavior.
-    pub max_stall: Option<Duration>,
     /// Thresholds for the per-site [`HealthMonitor`]s (sources, the
     /// journal, the consumer).
     pub health: HealthConfig,
@@ -80,9 +54,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             queue_capacity: 8,
-            lag_policy: LagPolicy::BlockSource,
-            coalesce: true,
-            max_stall: None,
             health: HealthConfig::default(),
         }
     }
@@ -107,7 +78,8 @@ impl std::fmt::Debug for Source {
 
 /// The producer: stages per-source events, seals them into one
 /// deterministically ordered block, journals the raw stream, coalesces,
-/// and enqueues for the consumer under the configured lag policy.
+/// and enqueues for the consumer, merging into the queue tail when the
+/// queue is full.
 #[derive(Debug)]
 pub struct Ingestor {
     config: IngestConfig,
@@ -127,8 +99,8 @@ pub struct Ingestor {
     /// Journal commit health (site `journal.io`), driving the
     /// retry-with-backoff degraded mode.
     journal_health: HealthMonitor,
-    /// Downstream consumer health (site `ingest.consumer`), driven by
-    /// queue pressure and the `max_stall` watchdog.
+    /// Downstream consumer health (site `ingest.consumer`): idle on a
+    /// seal that found the queue full, progress otherwise.
     consumer_health: HealthMonitor,
     /// The most recent journal commit failure, held while the journal
     /// runs degraded (cleared by the recommit that drains the backlog).
@@ -257,7 +229,7 @@ impl Ingestor {
     }
 
     /// The consumer handle. Clone freely; handles stay valid after the
-    /// ingestor closes (they drain the queue, then see end-of-stream).
+    /// ingestor is dropped and can still drain what is queued.
     pub fn handle(&self) -> IngestHandle {
         IngestHandle {
             shared: Arc::clone(&self.shared),
@@ -291,8 +263,9 @@ impl Ingestor {
         &self.journal_health
     }
 
-    /// Health of the downstream consumer (site `ingest.consumer`),
-    /// driven by backpressure and the `max_stall` watchdog.
+    /// Health of the downstream consumer (site `ingest.consumer`):
+    /// each seal that finds the queue full counts as the consumer
+    /// sitting idle.
     pub fn consumer_health(&self) -> &HealthMonitor {
         &self.consumer_health
     }
@@ -360,8 +333,16 @@ impl Ingestor {
 
     /// Seals the current block: multiplexes staged events in source
     /// priority order, journals the raw stream, coalesces, and enqueues
-    /// one batch (always exactly one — an empty block still marks a
-    /// tick boundary). Returns the stream offset after the seal.
+    /// one batch (an empty block still marks a tick boundary). Returns
+    /// the stream offset after the seal.
+    ///
+    /// A seal never waits on the consumer. When `queue_capacity`
+    /// batches are already queued, the block merges into the newest
+    /// one and the merged events re-coalesce last-write-wins: the queue
+    /// stays bounded, nothing is dropped, per-source order holds, and
+    /// the consumer sees fewer, denser batches. Each such seal counts
+    /// one [`IngestStats::degraded_merges`] and records the
+    /// `ingest.consumer` health site as idle.
     ///
     /// A journal commit failure does **not** abort the seal: the batch
     /// stays pending inside the writer, the block is still delivered,
@@ -372,10 +353,9 @@ impl Ingestor {
     ///
     /// # Errors
     ///
-    /// * [`IngestError::Closed`] — [`Ingestor::close`] was called.
-    /// * [`IngestError::StallTimeout`] — the [`IngestConfig::max_stall`]
-    ///   watchdog fired under [`LagPolicy::BlockSource`]; the block was
-    ///   merged into the queue tail (no data loss).
+    /// None at present: journal failures degrade as above and a full
+    /// queue merges. The `Result` stays so that callers, written as
+    /// `seal_block()?`, need no change if a seal can fail again.
     pub fn seal_block(&mut self) -> Result<u64, IngestError> {
         let _seal = self.obs.as_ref().map(|o| o.seal.start());
         let seal_tick = self.seals;
@@ -424,11 +404,9 @@ impl Ingestor {
             }
         }
 
-        let events = if self.config.coalesce {
+        let events = {
             let _coalesce = self.obs.as_ref().map(|o| o.coalesce.start());
             coalesce(&raw)
-        } else {
-            raw.clone()
         };
         let batch = IngestBatch {
             first_offset,
@@ -436,131 +414,22 @@ impl Ingestor {
             sealed_at: Instant::now(),
             events,
         };
-        // The block's own ledger contribution, credited only once the
-        // batch actually lands in the queue (same lock), so
-        // `events_in == events_out + coalesced_away + queued` holds at
-        // every enqueue/pop boundary — crediting before the enqueue
-        // (the old order) let a consumer racing a stalled producer
-        // observe a drifted ledger.
-        let sealed_raw = raw.len() as u64;
-        let block_coalesced = (raw.len() - batch.events.len()) as u64;
 
         let _queue = self.obs.as_ref().map(|o| o.queue.start());
         let mut guard = self.shared.lock();
-        if guard.closed {
-            return Err(IngestError::Closed);
-        }
         // Journal counters ride the same lock as the flow-ledger
         // credits so the registry mirror sees one consistent snapshot.
         guard.stats.journal_write_failures += u64::from(journal_failed);
         guard.stats.journal_recommits += u64::from(journal_recommitted);
-        if guard.queue.len() >= guard.capacity {
-            match self.config.lag_policy {
-                LagPolicy::BlockSource => {
-                    let stalled = Instant::now();
-                    if let Some(max_stall) = self.config.max_stall {
-                        let (mut guard, outcome) =
-                            self.shared.wait_not_full_deadline(guard, max_stall);
-                        let waited = stalled.elapsed().as_nanos() as u64;
-                        guard.stats.stall_nanos += waited;
-                        match outcome {
-                            WaitOutcome::Closed => {
-                                guard.sync_obs();
-                                return Err(IngestError::Closed);
-                            }
-                            WaitOutcome::TimedOut => {
-                                // The watchdog fired: degrade exactly
-                                // like CoalesceHarder (merge into the
-                                // tail, nothing dropped) and surface a
-                                // typed error instead of blocking the
-                                // producer forever on a wedged
-                                // consumer.
-                                let squeezed =
-                                    merge_into_tail(&mut guard, batch, self.config.coalesce);
-                                guard.stats.events_in += sealed_raw;
-                                guard.stats.coalesced_away += block_coalesced + squeezed;
-                                guard.stats.batches_sealed += 1;
-                                guard.stats.degraded_merges += 1;
-                                guard.stats.stall_timeouts += 1;
-                                guard.debug_check_ledger();
-                                guard.sync_obs();
-                                drop(guard);
-                                self.consumer_health.record_failure(seal_tick);
-                                return Err(IngestError::StallTimeout {
-                                    waited_nanos: waited,
-                                });
-                            }
-                            WaitOutcome::Open => {
-                                guard.stats.events_in += sealed_raw;
-                                guard.stats.coalesced_away += block_coalesced;
-                                guard.stats.batches_sealed += 1;
-                                self.shared.push(&mut guard, batch);
-                                drop(guard);
-                                self.consumer_health.record_progress(seal_tick);
-                                return Ok(self.next_offset);
-                            }
-                        }
-                    }
-                    let (mut open_guard, open) = self.shared.wait_not_full(guard);
-                    open_guard.stats.stall_nanos += stalled.elapsed().as_nanos() as u64;
-                    if !open {
-                        open_guard.sync_obs();
-                        return Err(IngestError::Closed);
-                    }
-                    open_guard.stats.events_in += sealed_raw;
-                    open_guard.stats.coalesced_away += block_coalesced;
-                    open_guard.stats.batches_sealed += 1;
-                    self.shared.push(&mut open_guard, batch);
-                    drop(open_guard);
-                    self.consumer_health.record_progress(seal_tick);
-                    return Ok(self.next_offset);
-                }
-                LagPolicy::CoalesceHarder => {
-                    let squeezed = merge_into_tail(&mut guard, batch, self.config.coalesce);
-                    guard.stats.events_in += sealed_raw;
-                    guard.stats.coalesced_away += block_coalesced + squeezed;
-                    guard.stats.batches_sealed += 1;
-                    guard.stats.degraded_merges += 1;
-                    guard.debug_check_ledger();
-                    guard.sync_obs();
-                    drop(guard);
-                    self.consumer_health.record_idle(seal_tick);
-                    return Ok(self.next_offset);
-                }
-            }
-        }
-        guard.stats.events_in += sealed_raw;
-        guard.stats.coalesced_away += block_coalesced;
-        guard.stats.batches_sealed += 1;
-        self.shared.push(&mut guard, batch);
+        let merged = guard.enqueue(batch);
         drop(guard);
-        self.consumer_health.record_progress(seal_tick);
+        if merged {
+            self.consumer_health.record_idle(seal_tick);
+        } else {
+            self.consumer_health.record_progress(seal_tick);
+        }
         Ok(self.next_offset)
     }
-
-    /// Closes the stream: queued batches stay drainable, further seals
-    /// and pops past the drain report end-of-stream.
-    pub fn close(&self) {
-        self.shared.close();
-    }
-}
-
-/// Merges `batch` into the newest queued batch (degraded coalescing:
-/// queue depth stays bounded, per-batch coalescing works harder).
-/// Returns how many events the cross-batch coalesce squeezed out.
-fn merge_into_tail(state: &mut QueueState, batch: IngestBatch, coalesce_on: bool) -> u64 {
-    let tail = state.queue.back_mut().expect("full queue has a tail batch");
-    let before = tail.events.len() + batch.events.len();
-    let mut merged = Vec::with_capacity(before);
-    merged.extend_from_slice(&tail.events);
-    merged.extend_from_slice(&batch.events);
-    tail.events = if coalesce_on {
-        coalesce(&merged)
-    } else {
-        merged
-    };
-    tail.raw_events += batch.raw_events;
-    (before - tail.events.len()) as u64
 }
 
 /// The consumer handle over the bounded queue.
@@ -575,21 +444,9 @@ impl IngestHandle {
         self.shared.try_pop()
     }
 
-    /// Blocks for the next batch; `None` once the stream is closed and
-    /// fully drained.
-    pub fn pop_blocking(&self) -> Option<IngestBatch> {
-        self.shared.pop_blocking()
-    }
-
     /// Batches currently queued.
     pub fn depth(&self) -> usize {
-        self.shared.lock().queue.len()
-    }
-
-    /// Whether the producer closed the stream (queued batches may still
-    /// remain).
-    pub fn is_closed(&self) -> bool {
-        self.shared.lock().closed
+        self.shared.lock().depth()
     }
 
     /// A stats snapshot.

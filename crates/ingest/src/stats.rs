@@ -1,5 +1,5 @@
 //! Ingestion counters: what the front-end absorbed, dropped via
-//! coalescing, and how hard the boundary pushed back.
+//! coalescing, and how often a full queue forced a merge.
 
 use std::fmt;
 
@@ -19,25 +19,17 @@ pub struct IngestStats {
     /// Events actually delivered to the consumer (post-coalescing).
     pub events_out: u64,
     /// Events discharged by coalescing (within a block, plus across
-    /// blocks under the degraded merge policy).
+    /// blocks merged into a full queue's tail).
     pub coalesced_away: u64,
     /// Blocks sealed by the producer.
     pub batches_sealed: u64,
     /// Batches popped by the consumer.
     pub batches_delivered: u64,
     /// Blocks merged into an already-queued batch because the queue was
-    /// full under [`crate::LagPolicy::CoalesceHarder`].
+    /// full.
     pub degraded_merges: u64,
     /// Highest queue depth (in batches) ever observed.
     pub depth_high_water: usize,
-    /// Total time the producer spent blocked on a full queue under
-    /// [`crate::LagPolicy::BlockSource`], in nanoseconds.
-    pub stall_nanos: u64,
-    /// Times the `max_stall` watchdog fired under
-    /// [`crate::LagPolicy::BlockSource`]: the producer gave up waiting,
-    /// merged the sealed block into the queue tail, and surfaced
-    /// [`crate::IngestError::StallTimeout`].
-    pub stall_timeouts: u64,
     /// Journal commits that failed and were left pending for retry
     /// (the stream kept flowing in degraded, journal-lagging mode).
     pub journal_write_failures: u64,
@@ -84,8 +76,6 @@ pub(crate) struct StatsMirror {
     batches_delivered: Counter,
     degraded_merges: Counter,
     depth_high_water: Counter,
-    stall_ns: Counter,
-    stall_timeouts: Counter,
     journal_write_failures: Counter,
     journal_recommits: Counter,
     coalesce_ratio: Gauge,
@@ -104,8 +94,6 @@ impl StatsMirror {
             batches_delivered: registry.counter("ingest.batches_delivered"),
             degraded_merges: registry.counter("ingest.degraded_merges"),
             depth_high_water: registry.counter("ingest.depth_high_water"),
-            stall_ns: registry.counter("ingest.stall_ns"),
-            stall_timeouts: registry.counter("ingest.stall_timeouts"),
             journal_write_failures: registry.counter("ingest.journal_write_failures"),
             journal_recommits: registry.counter("ingest.journal_recommits"),
             coalesce_ratio: registry.gauge("ingest.coalesce_ratio"),
@@ -131,9 +119,6 @@ impl StatsMirror {
             .add(stats.degraded_merges - m.degraded_merges);
         self.depth_high_water
             .set_at_least(stats.depth_high_water as u64);
-        self.stall_ns.add(stats.stall_nanos - m.stall_nanos);
-        self.stall_timeouts
-            .add(stats.stall_timeouts - m.stall_timeouts);
         self.journal_write_failures
             .add(stats.journal_write_failures - m.journal_write_failures);
         self.journal_recommits
@@ -148,8 +133,8 @@ impl fmt::Display for IngestStats {
         write!(
             f,
             "{} in / {} out ({:.2}x coalesce), {} sealed / {} delivered \
-             ({} degraded merges), depth hw {}, {:.3}ms stalled \
-             ({} timeouts), journal {} failed / {} recommitted",
+             ({} degraded merges), depth hw {}, journal {} failed / \
+             {} recommitted",
             self.events_in,
             self.events_out,
             self.coalesce_ratio(),
@@ -157,8 +142,6 @@ impl fmt::Display for IngestStats {
             self.batches_delivered,
             self.degraded_merges,
             self.depth_high_water,
-            self.stall_nanos as f64 / 1e6,
-            self.stall_timeouts,
             self.journal_write_failures,
             self.journal_recommits,
         )
@@ -202,8 +185,6 @@ mod tests {
             batches_delivered: 2,
             degraded_merges: 1,
             depth_high_water: 5,
-            stall_nanos: 77,
-            stall_timeouts: 2,
             journal_write_failures: 4,
             journal_recommits: 3,
         };
@@ -216,8 +197,6 @@ mod tests {
         assert_eq!(snap.counter("ingest.batches_delivered"), Some(2));
         assert_eq!(snap.counter("ingest.degraded_merges"), Some(1));
         assert_eq!(snap.counter("ingest.depth_high_water"), Some(5));
-        assert_eq!(snap.counter("ingest.stall_ns"), Some(77));
-        assert_eq!(snap.counter("ingest.stall_timeouts"), Some(2));
         assert_eq!(snap.counter("ingest.journal_write_failures"), Some(4));
         assert_eq!(snap.counter("ingest.journal_recommits"), Some(3));
         assert_eq!(snap.gauge("ingest.coalesce_ratio"), Some(2.5));

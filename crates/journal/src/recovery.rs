@@ -94,18 +94,13 @@ pub struct RecoveredStream {
     /// feed section (over any genesis feed) overlaid with every
     /// `FeedPrice` replayed from the suffix.
     pub feed: PriceTable,
-    /// The snapshot's recorded per-source consumed counts (empty when
-    /// recovery bootstrapped from genesis or the snapshot predates the
-    /// ingest front-end). The replay counts below are *not* folded in.
-    pub source_positions: Vec<u64>,
-    /// `FeedPrice` events replayed from the journal suffix.
-    pub feed_events_replayed: usize,
-    /// Chain events replayed from the journal suffix (post-bootstrap).
-    pub chain_events_replayed: usize,
-    /// Chain events consumed to *build* the genesis universe (the
-    /// leading `PoolCreated` prefix; zero on the snapshot path). Callers
-    /// tracking per-source stream positions must count these too.
-    pub genesis_bootstrap_events: usize,
+    /// The `[feed, chain]` source positions to resume the ingest
+    /// front-end at (`Ingestor::restore_positions`): the snapshot's
+    /// recorded counts (zero on the genesis path, or when the snapshot
+    /// predates the front-end) plus every journal event the recovery
+    /// consumed on that source — `FeedPrice` events on the feed, all
+    /// others on the chain, the genesis `PoolCreated` prefix included.
+    pub source_positions: [u64; 2],
     /// What the recovery did.
     pub stats: RecoveryStats,
 }
@@ -245,7 +240,11 @@ impl Recovery {
                 None => chain_events.push(event),
             }
         }
-        let before_bootstrap = chain_events.len();
+        let snapshot_position = |source: usize| source_positions.get(source).copied().unwrap_or(0);
+        let resume_positions = [
+            snapshot_position(0) + feed_events_replayed as u64,
+            snapshot_position(1) + chain_events.len() as u64,
+        ];
         let mut runtime = match restored {
             Some(runtime) => runtime,
             None => {
@@ -254,19 +253,14 @@ impl Recovery {
                 runtime
             }
         };
-        let genesis_bootstrap_events = before_bootstrap - chain_events.len();
-        let chain_events_replayed = chain_events.len();
         runtime.apply_events(&chain_events, &feed)?;
         Ok(RecoveredStream {
             runtime,
             feed,
-            source_positions,
-            feed_events_replayed,
-            chain_events_replayed,
-            genesis_bootstrap_events,
+            source_positions: resume_positions,
             stats: RecoveryStats {
                 snapshot_offset,
-                events_replayed: feed_events_replayed + chain_events_replayed,
+                events_replayed: feed_events_replayed + chain_events.len(),
                 journal_tail: tail,
                 wall: start.elapsed(),
             },

@@ -109,7 +109,7 @@ pub mod prelude {
     pub use arb_graph::{Cycle, CycleId, CycleIndex, SyncOutcome, TokenGraph};
     pub use arb_ingest::{
         coalesce, HealthConfig, HealthMonitor, HealthState, IngestBatch, IngestConfig,
-        IngestDriver, IngestError, IngestHandle, IngestStats, Ingestor, LagPolicy, SourceId,
+        IngestDriver, IngestError, IngestHandle, IngestStats, Ingestor, SourceId,
     };
     pub use arb_journal::{
         IoShim, JournalConfig, JournalCursor, JournalError, JournalReader, JournalWriter,

@@ -11,10 +11,16 @@ use arbloops::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+#[path = "support/ranking.rs"]
+mod ranking;
+
+use ranking::assert_rankings_identical;
+
 /// Asserts ranked-output equality between the runtime's ranking and a
 /// from-scratch batch run (default config) on the runtime's live pool
 /// set.
 fn assert_stream_equals_batch(
+    context: &str,
     engine: &ShardedRuntime,
     streamed: &[ArbitrageOpportunity],
     feed: &PriceTable,
@@ -23,28 +29,7 @@ fn assert_stream_equals_batch(
     let fresh = OpportunityPipeline::new(PipelineConfig::default())
         .run(pools, feed)
         .expect("batch oracle");
-    assert_eq!(
-        streamed.len(),
-        fresh.opportunities.len(),
-        "opportunity counts diverged"
-    );
-    for (s, f) in streamed.iter().zip(&fresh.opportunities) {
-        assert_eq!(s.cycle.tokens(), f.cycle.tokens(), "cycle tokens diverged");
-        assert_eq!(s.cycle.pools(), f.cycle.pools(), "cycle pools diverged");
-        assert_eq!(s.strategy, f.strategy, "winning strategy diverged");
-        assert_eq!(
-            s.gross_profit.value().to_bits(),
-            f.gross_profit.value().to_bits(),
-            "gross profit diverged on {}",
-            s.cycle
-        );
-        assert_eq!(
-            s.net_profit.value().to_bits(),
-            f.net_profit.value().to_bits(),
-            "net profit diverged on {}",
-            s.cycle
-        );
-    }
+    assert_rankings_identical(context, streamed, &fresh.opportunities);
 }
 
 /// The runtime's graph must also mirror the chain's pool reserves exactly
@@ -110,7 +95,7 @@ fn arbitrary_event_sequences_match_full_pipeline_runs() {
     let mut engine = ShardedRuntime::new(engine_pipeline, pools, 1).expect("engine");
     let mut cursor = chain.subscribe();
     let cold = engine.refresh(&feed).expect("cold start");
-    assert_stream_equals_batch(&engine, &cold.opportunities, &feed);
+    assert_stream_equals_batch("cold start", &engine, &cold.opportunities, &feed);
 
     for round in 0..12 {
         // A burst of random swaps against random pools.
@@ -152,7 +137,12 @@ fn arbitrary_event_sequences_match_full_pipeline_runs() {
         let events = chain.drain_events(&mut cursor);
         let report = engine.apply_events(&events, &feed).expect("apply batch");
         assert_graph_mirrors_chain(&engine, &chain);
-        assert_stream_equals_batch(&engine, &report.opportunities, &feed);
+        assert_stream_equals_batch(
+            &format!("round {round}"),
+            &engine,
+            &report.opportunities,
+            &feed,
+        );
     }
 
     let stats = engine.stats();
@@ -187,7 +177,7 @@ fn equivalence_survives_feed_moves_without_manual_dirtying() {
     engine.refresh(&feed).expect("cold start");
 
     let mut rng = StdRng::seed_from_u64(99);
-    for _ in 0..6 {
+    for block in 0..6 {
         chain.submit(Transaction::Swap {
             account: trader,
             pool: PoolId::new(rng.gen_range(0u32..chain.state().pool_count() as u32)),
@@ -207,6 +197,11 @@ fn equivalence_survives_feed_moves_without_manual_dirtying() {
         }
         let events = chain.drain_events(&mut cursor);
         let report = engine.apply_events(&events, &feed).expect("apply");
-        assert_stream_equals_batch(&engine, &report.opportunities, &feed);
+        assert_stream_equals_batch(
+            &format!("block {block}"),
+            &engine,
+            &report.opportunities,
+            &feed,
+        );
     }
 }
